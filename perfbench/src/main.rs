@@ -76,6 +76,13 @@ const PER_LAYER: [(&str, &str); 32] = [
     ("trace.overhead_frac", "ratio"),
 ];
 
+/// Worker threads every measurement runs with (`nproc` is recorded beside
+/// it). On a small shared host the hypervisor now and then takes one vCPU
+/// away; a fan-out that needs every vCPU at once then stalls, which tripled
+/// `wall_s` on two threads for minutes at a time, while single-threaded
+/// set-up timings in the same runs did not move.
+const WORKER_THREADS: usize = 1;
+
 /// Fewest timed repeats of a workload, however long they take.
 const MIN_REPEATS: usize = 3;
 /// Set-up is repeated at least this often and for at least
@@ -181,15 +188,13 @@ fn verification_legs(specs: &[Spec], tally: &mut Tally) {
 const VERIFY_LINE: &str = "perfbench-verify";
 
 /// Runs [`verification_legs`] in a child process and returns its peak
-/// RSS in MiB. The child does the same work on every run, on one worker
-/// thread, so its high-water mark depends neither on the number of
-/// timed repeats nor on how parallel runs happen to overlap.
+/// RSS in MiB. The child does the same work on every run, so its
+/// high-water mark does not depend on the number of timed repeats.
 fn verify_in_child(args: &Args, tally: &mut Tally) -> f64 {
     let child = tally.run("verification process", || {
         let exe = std::env::current_exe().map_err(|e| e.to_string())?;
         let mut cmd = std::process::Command::new(exe);
-        cmd.args(["--workload", args.workload.name(), VERIFY_ONLY])
-            .env("RAYON_NUM_THREADS", "1");
+        cmd.args(["--workload", args.workload.name(), VERIFY_ONLY]);
         if let Some(seed) = args.seed {
             cmd.args(["--seed", &seed.to_string()]);
         }
@@ -421,6 +426,16 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(WORKER_THREADS)
+        .build()
+        .expect("a fixed-size pool always builds")
+        .install(|| measure(&args))
+}
+
+/// Loads the workload, runs the requested measurement and prints the
+/// result line.
+fn measure(args: &Args) -> ExitCode {
     // The traced run deploys platforms itself, so the extension policies
     // `run_scenario` registers (e.g. `deadline-aware`) must exist first.
     meryn_scenario::policies::install();
@@ -463,7 +478,7 @@ fn main() -> ExitCode {
         );
         out
     } else {
-        end_to_end(&specs, &args, &mut tally)
+        end_to_end(&specs, args, &mut tally)
     };
     let expected: &[(&str, &str)] = if args.trace { &PER_LAYER } else { &END_TO_END };
     assert_eq!(
