@@ -30,13 +30,17 @@
 //! due after SECS, snapshots the complete engine state to FILE and
 //! exits; `--resume FILE` restores and runs to completion. The
 //! resumed report is byte-identical to the `--single` one — CI `cmp`s
-//! them.
+//! them. FILE is published atomically (written as `FILE.tmp`, synced,
+//! then renamed over FILE), so a killed writer never leaves a torn
+//! checkpoint behind; `--resume` rejects a checkpoint whose `format`
+//! is missing or differs from this build's.
 
 use meryn_bench::{
     bench_scenario, catalog, run_scenario, single_run_resume, single_run_start, Scenario,
 };
 use meryn_core::EngineCheckpoint;
 use meryn_sim::SimTime;
+use std::path::Path;
 
 fn usage() -> ! {
     eprintln!(
@@ -59,6 +63,29 @@ fn start_single_run(scenario: &Scenario) -> meryn_core::Platform {
             std::process::exit(2);
         }
     }
+}
+
+/// Writes `json` to `path` crash-consistently: into `path.tmp` in the
+/// same directory, synced to disk, then renamed over `path` — a reader
+/// sees the old file or the whole new one, never a torn write. The
+/// directory is synced last so the rename itself survives a crash.
+fn publish_atomically(path: &str, json: &str) -> std::io::Result<()> {
+    use std::io::Write as _;
+    let tmp = format!("{path}.tmp");
+    let mut file = std::fs::File::create(&tmp)?;
+    let published = file
+        .write_all(json.as_bytes())
+        .and_then(|()| file.sync_all())
+        .and_then(|()| std::fs::rename(&tmp, path));
+    if published.is_err() {
+        let _ = std::fs::remove_file(&tmp);
+    }
+    published?;
+    let dir = Path::new(path)
+        .parent()
+        .filter(|d| !d.as_os_str().is_empty())
+        .unwrap_or(Path::new("."));
+    std::fs::File::open(dir)?.sync_all()
 }
 
 fn write_run_report(report: &meryn_core::RunReport, json_path: Option<&str>, quiet: bool) {
@@ -158,7 +185,7 @@ fn main() {
         let cp = platform.checkpoint();
         let mut json = serde_json::to_string(&cp).expect("checkpoint serializes");
         json.push('\n');
-        if let Err(e) = std::fs::write(&cp_path, json) {
+        if let Err(e) = publish_atomically(&cp_path, &json) {
             eprintln!("error: cannot write checkpoint {cp_path}: {e}");
             std::process::exit(2);
         }
@@ -185,11 +212,15 @@ fn main() {
             Err(e) => {
                 eprintln!(
                     "error: {cp_path} is not a valid engine checkpoint \
-                     (truncated or corrupt?): {e}"
+                     (truncated, corrupt or from an older build?): {e}"
                 );
                 std::process::exit(2);
             }
         };
+        if let Err(e) = cp.check_format() {
+            eprintln!("error: {cp_path}: {e}");
+            std::process::exit(2);
+        }
         let mut platform = single_run_resume(&scenario, cp);
         platform.run_to_completion();
         let report = platform.finalize();

@@ -83,6 +83,15 @@ pub enum Effect {
         /// The VMs to release, in stint order.
         vms: Vec<VmId>,
     },
+    /// A release batch finished: close each lease and add its cost to
+    /// the cloud bill (the end of the §3.5 tear-down
+    /// [`Effect::ReleaseCloud`] began).
+    CloseLeases {
+        /// The cloud the leases came from.
+        cloud: CloudId,
+        /// The released VMs, in stint order.
+        vms: Vec<VmId>,
+    },
     /// Begin returning borrowed private VMs to the lending VC (§3.4
     /// give-back): stop each VM at the borrower, then reboot it with the
     /// lender's image and requeue the suspended victim.
@@ -188,9 +197,8 @@ pub enum Effect {
         /// Extra pipeline latency if Algorithm 1 suspends a local
         /// victim. Drawn unconditionally at admission — whether it is
         /// consumed depends on the placement decision, but drawing it
-        /// up front keeps the shard's stream sequence identical whether
-        /// effects apply at the batch barrier or (single-step path)
-        /// immediately after each event.
+        /// up front keeps the shard's stream sequence independent of
+        /// the decision Algorithm 1 makes when the effect applies.
         suspend_local: meryn_sim::SimDuration,
         /// Extra pipeline latency if Algorithm 1 suspends a remote
         /// victim; same unconditional-draw rule as `suspend_local`.

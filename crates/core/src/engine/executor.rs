@@ -1,68 +1,56 @@
-//! The sharded executor: one control plane, N shard state machines,
-//! one canonical effect stream.
+//! The engine: N shard state machines, one shared fabric, one
+//! canonical effect stream — assembled as [`Platform`].
 //!
 //! # Execution model
 //!
 //! Every event carries a globally-unique `(due, seq)` key handed out by
-//! one counter; the control queue and the per-shard queues are merged
-//! by that key ([`meryn_sim::earliest_key`]), so the *schedule* is a
-//! single total order — the same one the pre-shard monolith walked.
+//! one counter and waits in the queue of the shard that owns it
+//! ([`Event::owner`]), so the *schedule* — all shard queues merged by
+//! key — is a single total order, the one the pre-shard monolith
+//! walked. Every event class is shard-owned: admission itself (the
+//! engine pre-routes each submission to its VC from the deployment
+//! config and the shard type-checks, negotiates and registers the
+//! application — [`VcShard`]'s arrival handler), framework hand-off,
+//! job completion, SLA checks ([`VcShard::check_sla`]) and the
+//! coalesced VM choreography down to the lease closes that end a cloud
+//! burst (transfer/return/lease/release batches expand inside their
+//! shard and send the pool and market work back as effects). The
+//! cross-shard half of an arrival — Algorithm 1 over every VC's bids
+//! plus the cloud market — travels back as [`Effect::Place`] and
+//! applies at the arrival's canonical position in the effect stream.
+//! Latency draws for a VC's arrivals and acquisitions come from that
+//! shard's own RNG stream (`stream_seed(seed, SHARD_STREAM_BASE + vc)`),
+//! so one VC's draw sequence never depends on another VC's traffic.
 //!
-//! Control events — cloud-lease closes and nothing else — are
-//! processed sequentially; the only other control-plane duty is
-//! advancing the streamed-arrival cursor. Everything else is
-//! shard-owned: admission itself (the executor pre-routes each
-//! submission to its VC from the deployment config and the shard
-//! type-checks, negotiates and registers the application —
-//! [`VcShard`]'s arrival handler), framework hand-off, job completion,
-//! SLA checks ([`VcShard::check_sla`]) and the coalesced VM
-//! choreography (transfer/return/lease batches expand inside their
-//! shard and send the pool work back as effects). The cross-shard half
-//! of an arrival — Algorithm 1 over every VC's bids plus the cloud
-//! market — travels back as [`Effect::Place`] and applies at the
-//! arrival's canonical position in the effect stream. Latency draws
-//! for a VC's arrivals and acquisitions come from that shard's own RNG
-//! stream (`stream_seed(seed, SHARD_STREAM_BASE + vc)`), so one VC's
-//! draw sequence never depends on another VC's traffic.
-//!
-//! Per time step the executor drains the maximal run of same-instant
-//! shard events up to the next control event, groups it by shard,
-//! processes the groups — **in parallel through the rayon shim when the
-//! run spans shards and is big enough to pay for the fan-out** — and
-//! then applies the collected [`Effect`]s sequentially in canonical
-//! `(due, vc_id, seq)`-keyed order: a stable sort on the keys, whose
-//! globally-unique `seq` makes the application order the exact global
-//! schedule order the pre-shard monolith walked.
+//! State changes only at event instants, and one run function advances
+//! the engine by one of them: it drains the maximal run of events
+//! queued at the next instant, groups it by shard, processes the
+//! groups — **in parallel through the rayon shim when the run spans
+//! shards and is big enough to pay for the fan-out** — and then applies
+//! the collected [`Effect`]s sequentially in canonical key order: a
+//! stable sort on the keys, whose globally-unique `seq` makes the
+//! application order the exact global schedule order. Events the
+//! effects schedule at the same instant carry later tags and form the
+//! next run. [`Platform::run_until`] repeats the run function up to its
+//! stop instant; [`Platform::step`] calls it once.
 //!
 //! Thread-count independence is structural: shard groups share no
 //! state, group processing is deterministic per shard, and the
 //! canonical effect order never depends on which worker finished
-//! first. The batched loop is likewise equivalent to the
-//! one-event-at-a-time [`ShardExecutor::step`] path for report-mode
-//! deployments: shard handlers read no fabric state and no state that
-//! effect application writes, so deferring a run's effects to its
-//! barrier and replaying them in schedule order produces the identical
-//! mutation sequence. Under
-//! [`crate::config::ViolationPolicy::EscalateToCloud`] the barrier
-//! semantics are authoritative: an [`Effect::Escalate`] applies at its
-//! canonical position in the run's effect stream — still identical at
-//! every thread count — while the single-step path applies it
-//! immediately after its event, which can resolve a same-instant
-//! escalation/dispatch race for one job differently. [`Effect::Place`]
-//! needs no such caveat: every latency the placement might consume
-//! (CM handling plus both suspension extras) is drawn in-shard at
-//! admission, so applying the placement at the barrier or immediately
-//! after its arrival leaves each shard's stream sequence — and hence
-//! the trajectory — identical.
+//! first. Every latency a placement might consume (CM handling plus
+//! both suspension extras) is drawn in-shard at admission and carried
+//! in [`Effect::Place`], so each shard's stream sequence is independent
+//! of the decision Algorithm 1 makes when the effect applies.
 
+use std::borrow::Borrow;
 use std::sync::Arc;
 
 use meryn_frameworks::{BatchFramework, Framework, FrameworkKind, JobId, MapReduceFramework};
 use meryn_sim::metrics::SeriesSet;
-use meryn_sim::{earliest_key, EventQueue, QueueSnapshot, SimDuration, SimRng, SimTime};
+use meryn_sim::{earliest_key, SimDuration, SimRng, SimTime};
 use meryn_sla::pricing::PricingParams;
 use meryn_sla::Money;
-use meryn_vmm::{CloudId, ImageRegistry, Location, PrivatePool, PublicCloud, VmId};
+use meryn_vmm::{CloudId, ImageRegistry, Ledger, Location, PrivatePool, PublicCloud, VmId};
 use meryn_workloads::Submission;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -96,8 +84,8 @@ const PARALLEL_RUN_MIN_EVENTS: usize = 24;
 /// Base of the per-shard latency stream ids: shard `i` draws from
 /// `SimRng::stream_seed(cfg.seed, SHARD_STREAM_BASE + i)`. The high
 /// bit block keeps the shard streams disjoint from the fixed fork ids
-/// the deployment hands out (pool `1`, residual control plane `2`,
-/// cloud `100 + i`) at any realistic VC count.
+/// the deployment hands out (pool `1`, cloud `100 + i`) at any
+/// realistic VC count.
 const SHARD_STREAM_BASE: u64 = 1 << 32;
 
 /// Base of the per-shard *fault* stream ids: shard `i` draws its crash
@@ -108,8 +96,17 @@ const SHARD_STREAM_BASE: u64 = 1 << 32;
 /// stay byte-identical to pre-fault-plane goldens.
 const FAULT_STREAM_BASE: u64 = 2 << 32;
 
-/// The assembled engine: shards + fabric + control plane.
-pub struct ShardExecutor {
+/// The assembled Meryn platform: one [`VcShard`] per deployed Virtual
+/// Cluster, the [`SharedFabric`] singletons and the loop that merges
+/// their queues into one deterministic schedule. (The paper's prototype
+/// glues its components together with shell scripts over two Snooze
+/// installations; here the glue is this discrete-event engine.)
+///
+/// Deploy with [`Self::new`], hand over the workload
+/// ([`Self::enqueue_workload`] or [`Self::stream_workload`]), advance
+/// ([`Self::run_until`], [`Self::run_to_completion`] or [`Self::step`])
+/// and report with [`Self::finalize`]; [`Self::run`] does all four.
+pub struct Platform {
     pub(crate) cfg: PlatformConfig,
     placement: Arc<dyn PlacementPolicy>,
     bidding: Arc<dyn BiddingPolicy>,
@@ -121,11 +118,6 @@ pub struct ShardExecutor {
     vc_kinds: Vec<FrameworkKind>,
     /// The shared singletons.
     pub(crate) fabric: SharedFabric,
-    /// Order-sensitive events: arrivals and cloud-lease closes.
-    control: EventQueue<Event>,
-    /// Extra logical ticks of coalesced control events (one per VM in a
-    /// lease-close batch beyond the event the queue counted).
-    control_extra_ticks: u64,
     /// The global sequence counter all queues share.
     next_seq: u64,
     now: SimTime,
@@ -229,20 +221,26 @@ struct ArrivalCheckpoint {
     emitted: u64,
 }
 
-/// A full engine snapshot: every shard (framework masters included),
-/// the shared fabric (pool, clouds, ledger, metrics, RNG stream
-/// positions), the control queue, the global sequence counter and the
+/// Layout version of [`EngineCheckpoint`], written into every
+/// checkpoint's required `format` field. Bump it whenever the captured
+/// state changes shape. Checkpoints written before the field existed
+/// (layout 1, which still carried a control queue) fail to parse.
+pub const CHECKPOINT_FORMAT: u32 = 2;
+
+/// A full engine snapshot: every shard (framework masters and event
+/// queues included), the shared fabric (pool, clouds, ledger, metrics,
+/// RNG stream positions), the global sequence counter and the
 /// streamed-arrival cursor. Serializable with serde; resuming from it
 /// reproduces the uninterrupted run byte-for-byte at any thread count.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EngineCheckpoint {
+    /// Layout version; [`CHECKPOINT_FORMAT`] when written by this build.
+    pub format: u32,
     /// The deployment configuration; placement/bidding policies and
     /// per-shard policy slices are rebuilt from it at restore.
     pub cfg: PlatformConfig,
     shards: Vec<ShardSnapshot>,
     fabric: SharedFabric,
-    control: QueueSnapshot<Event>,
-    control_extra_ticks: u64,
     next_seq: u64,
     now: SimTime,
     app_vc: Vec<VcId>,
@@ -254,8 +252,24 @@ pub struct EngineCheckpoint {
 }
 
 impl EngineCheckpoint {
+    /// Checks that this build can resume the checkpoint's layout.
+    ///
+    /// # Errors
+    /// A `format` other than [`CHECKPOINT_FORMAT`].
+    pub fn check_format(&self) -> Result<(), String> {
+        if self.format == CHECKPOINT_FORMAT {
+            Ok(())
+        } else {
+            Err(format!(
+                "checkpoint format {} cannot be resumed by this build (expects format \
+                 {CHECKPOINT_FORMAT})",
+                self.format
+            ))
+        }
+    }
+
     /// Whether the checkpointed run streamed its workload — if so,
-    /// resume with [`ShardExecutor::from_checkpoint_streaming`],
+    /// resume with [`Platform::from_checkpoint_streaming`],
     /// handing back a fresh iterator over the same workload.
     pub fn needs_workload(&self) -> bool {
         self.arrivals.is_some()
@@ -308,7 +322,7 @@ fn shard_policy(cfg: &PlatformConfig, retire_on_completion: bool) -> ShardPolicy
 }
 
 /// Outcome of one cloud-escalation attempt (see
-/// [`ShardExecutor::try_escalate_to_cloud`]).
+/// [`Platform::try_escalate_to_cloud`]).
 enum Escalation {
     /// Leases are provisioning; a fresh completion prediction is coming.
     Leased,
@@ -320,7 +334,7 @@ enum Escalation {
     Refused,
 }
 
-impl ShardExecutor {
+impl Platform {
     /// Deploys the platform described by `cfg`: boots the initial VC
     /// slaves on the private pool (deployment precedes the workload, so
     /// initial VMs come up instantly at t = 0) and pre-stages every
@@ -421,11 +435,7 @@ impl ShardExecutor {
             }
         }
 
-        let lat_rng = master.fork(2);
-        let fabric = SharedFabric::new(pool, clouds, images, cfg.client_managers, lat_rng);
-        // Steady-state pending events scale with the live estate; the
-        // workload bulk is reserved at enqueue time.
-        let control = EventQueue::with_capacity(4 * cfg.private_capacity as usize);
+        let fabric = SharedFabric::new(pool, clouds, cfg.client_managers);
         let policy = shard_policy(&cfg, false);
         let seed = cfg.seed;
         let shards = vcs
@@ -439,15 +449,13 @@ impl ShardExecutor {
             })
             .collect();
         let vc_kinds = cfg.vcs.iter().map(|v| v.kind).collect();
-        ShardExecutor {
+        Platform {
             cfg,
             placement,
             bidding,
             shards,
             vc_kinds,
             fabric,
-            control,
-            control_extra_ticks: 0,
             next_seq: 0,
             now: SimTime::ZERO,
             app_vc: Vec::new(),
@@ -471,8 +479,9 @@ impl ShardExecutor {
     /// (running totals remain exact), and every completed application
     /// folds into per-VC aggregates and retires its engine-side state
     /// at its canonical effect position — so the aggregates are
-    /// byte-identical at any thread count.
-    pub fn set_report_mode(&mut self, mode: ReportMode) {
+    /// byte-identical at any thread count. This is the hyperscale
+    /// configuration.
+    pub fn with_report_mode(mut self, mode: ReportMode) -> Self {
         assert!(
             self.now == SimTime::ZERO && self.next_app == 0,
             "report mode must be chosen before the run starts"
@@ -483,45 +492,32 @@ impl ShardExecutor {
         for shard in &mut self.shards {
             shard.policy.retire_on_completion = aggregate;
         }
-    }
-
-    /// The run's report mode (see [`Self::set_report_mode`]).
-    pub fn report_mode(&self) -> ReportMode {
-        if self.aggregate.is_some() {
-            ReportMode::Aggregate
-        } else {
-            ReportMode::Full
-        }
+        self
     }
 
     /// Sets whether the used-VM step curves are sampled (on by
     /// default). Peaks are tracked either way.
-    pub fn set_series_recording(&mut self, on: bool) {
+    pub fn with_series_recording(mut self, on: bool) -> Self {
         self.fabric.record_series = on;
+        self
     }
 
-    /// Current simulation instant.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
-    /// Logical events processed so far, summed over the control plane
-    /// and every shard queue (coalesced choreography events count one
-    /// tick per VM in their batch, keeping the unit comparable with the
-    /// pre-coalescing engine).
+    /// Logical events processed so far, summed over every shard queue
+    /// (coalesced choreography events count one tick per VM in their
+    /// batch, keeping the unit comparable with the pre-coalescing
+    /// engine).
     pub fn events_processed(&self) -> u64 {
-        self.control_events_processed()
-            + self
-                .shards
-                .iter()
-                .map(VcShard::events_processed)
-                .sum::<u64>()
+        self.shards.iter().map(VcShard::events_processed).sum()
     }
 
-    /// Logical events the control plane processed (arrivals +
-    /// cloud-lease closes).
-    pub fn control_events_processed(&self) -> u64 {
-        self.control.events_processed() + self.control_extra_ticks
+    /// Per-shard processed-event counters as `(vc name, events)` pairs,
+    /// `VcId` order — the `scenario --bench` breakdown. They sum to
+    /// [`Self::events_processed`].
+    pub fn shard_event_counts(&self) -> Vec<(String, u64)> {
+        self.shards
+            .iter()
+            .map(|s| (s.vc.name.clone(), s.events_processed()))
+            .collect()
     }
 
     /// Same-instant cross-shard runs wide enough to be fanned out to
@@ -531,8 +527,10 @@ impl ShardExecutor {
     }
 
     /// Audits the shared fabric's conservation invariants (see
-    /// [`SharedFabric::audit_invariants`]). Call at quiescent points —
-    /// after a restore, after the queues drain.
+    /// [`SharedFabric::audit_invariants`]): active-VM counters recounted
+    /// against VM states, busy counters bounded by active ones. `Err`
+    /// carries the first violated invariant. Holds between runs — after
+    /// [`Self::step`], [`Self::run_until`] or a restore.
     pub fn audit_invariants(&self) -> Result<(), String> {
         self.fabric.audit_invariants()
     }
@@ -543,6 +541,21 @@ impl ShardExecutor {
         self.shards[vc.0].apps.get(&id)
     }
 
+    /// The private pool.
+    pub fn pool(&self) -> &PrivatePool {
+        &self.fabric.pool
+    }
+
+    /// The public clouds.
+    pub fn clouds(&self) -> &[PublicCloud] {
+        &self.fabric.clouds
+    }
+
+    /// The billing ledger.
+    pub fn ledger(&self) -> &Ledger {
+        &self.fabric.ledger
+    }
+
     // ---- scheduling --------------------------------------------------------
 
     /// Assigns the next global sequence tag and routes `event` to its
@@ -550,15 +563,11 @@ impl ShardExecutor {
     fn push_event(&mut self, due: SimTime, event: Event) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let queue = match event.owner() {
-            EventOwner::Control => &mut self.control,
-            EventOwner::Shard(vc) => &mut self.shards[vc.0].queue,
-            EventOwner::AppShard(app) => {
-                let vc = self.app_vc[app.0 as usize];
-                &mut self.shards[vc.0].queue
-            }
+        let vc = match event.owner() {
+            EventOwner::Shard(vc) => vc,
+            EventOwner::AppShard(app) => self.app_vc[app.0 as usize],
         };
-        queue.push_tagged(due, seq, event);
+        self.shards[vc.0].queue.push_tagged(due, seq, event);
     }
 
     /// Routes one submission to its owning shard from the deployment
@@ -584,13 +593,14 @@ impl ShardExecutor {
     }
 
     /// Enqueues a workload's arrivals, pre-routed into their owning
-    /// shards' queues.
+    /// shards' queues. Accepts owned and borrowed submissions alike
+    /// (`Vec<Submission>`, `&[Submission]`, any iterator of either), so
+    /// drivers never clone a workload to feed the platform.
     pub fn enqueue_workload<I>(&mut self, workload: I)
     where
         I: IntoIterator,
-        I::Item: std::borrow::Borrow<Submission>,
+        I::Item: Borrow<Submission>,
     {
-        use std::borrow::Borrow as _;
         for sub in workload {
             let sub = *sub.borrow();
             match self.route_arrival(sub) {
@@ -635,33 +645,24 @@ impl ShardExecutor {
         Ok(())
     }
 
-    /// `(queue index, key)` of the globally next event; index 0 is the
-    /// control plane, `1 + i` shard `i`. Before returning, every
-    /// streamed arrival due at (or before) that key's instant is
-    /// dispatched into its owning shard's queue — see
-    /// [`Self::pump_stream`] — so the source the caller sees is never
-    /// the stream itself and streamed arrivals never split a
-    /// same-instant run the bulk-enqueued schedule would batch whole.
-    fn next_source(&mut self) -> Option<(usize, (SimTime, u64))> {
+    /// The instant of the globally next event, `None` once every queue
+    /// and the arrival stream are drained. Before returning, every
+    /// streamed arrival due at (or before) that instant is dispatched
+    /// into its owning shard's queue — see [`Self::pump_stream`] — so
+    /// streamed arrivals never split a same-instant run the
+    /// bulk-enqueued schedule would batch whole.
+    fn next_instant(&mut self) -> Option<SimTime> {
         loop {
-            let control_key = self.control.peek_key();
-            let queued = earliest_key(
-                [control_key]
-                    .into_iter()
-                    .chain(self.shards.iter_mut().map(|s| s.queue.peek_key())),
-            );
+            let queued = earliest_key(self.shards.iter_mut().map(|s| s.queue.peek_key()))
+                .map(|(_, (due, _))| due);
             let stream_due = self
                 .arrivals
                 .as_mut()
                 .and_then(ArrivalSource::peek_key)
                 .map(|(due, _)| due);
-            match (queued, stream_due) {
-                (None, None) => return None,
-                (hit, Some(due)) if hit.is_none_or(|(_, (t, _))| due <= t) => {
-                    self.pump_stream(due);
-                }
-                (Some(hit), _) => return Some(hit),
-                (None, Some(_)) => unreachable!("second arm pumps when nothing is queued"),
+            match stream_due {
+                Some(due) if queued.is_none_or(|t| due <= t) => self.pump_stream(due),
+                _ => return queued,
             }
         }
     }
@@ -669,9 +670,8 @@ impl ShardExecutor {
     /// Dispatches every streamed arrival due at `t` into its owning
     /// shard's queue, carrying the pre-reserved sequence tags (routing
     /// failures tally a rejection and burn their tag, like the bulk
-    /// path). The whole instant is pumped at once, so by the time the
-    /// scheduler drains a run at `t` the stream's head is strictly
-    /// later and the run's barrier is the control queue alone — exactly
+    /// path). The whole instant is pumped at once, so by the time a run
+    /// at `t` is drained the stream's head is strictly later — exactly
     /// the bulk-enqueued schedule.
     fn pump_stream(&mut self, t: SimTime) {
         loop {
@@ -691,27 +691,14 @@ impl ShardExecutor {
         }
     }
 
-    /// Processes exactly one event (the single-step debugging/test
-    /// path). Equivalent to the batched loop: a batch is just a run of
-    /// these with the effect application deferred to the barrier.
+    /// Processes the next same-instant run (see the module docs) and
+    /// returns `false` once every queue is drained. A debugging and
+    /// test hook: the audit invariants hold after every step.
     pub fn step(&mut self) -> bool {
-        let Some((idx, (t, _))) = self.next_source() else {
+        let Some(t) = self.next_instant() else {
             return false;
         };
-        self.now = t;
-        if idx == 0 {
-            let (_, seq, ev) = self.control.pop_keyed().expect("peeked");
-            self.handle_control(t, seq, ev);
-        } else {
-            let shard = idx - 1;
-            let (_, seq, ev) = self.shards[shard].queue.pop_keyed().expect("peeked");
-            let mut events = self.event_bufs.pop().unwrap_or_default();
-            events.push((seq, ev));
-            let effects_buf = self.effect_bufs.pop().unwrap_or_default();
-            let (events, effects) = self.shards[shard].process(t, events, effects_buf);
-            self.event_bufs.push(events);
-            self.apply_effects(effects);
-        }
+        self.run_instant(t);
         true
     }
 
@@ -720,117 +707,124 @@ impl ShardExecutor {
         self.run_until(SimTime::MAX);
     }
 
-    /// The batched loop, stopping once the next event is due strictly
-    /// after `stop` (events *at* `stop` are processed). Returns `true`
-    /// while undrained events remain — at which point the engine sits
-    /// on a clean instant boundary, ready to be checkpointed or
-    /// resumed.
+    /// Processes runs until the next event is due strictly after
+    /// `stop` (events *at* `stop` are processed). Returns `true` while
+    /// undrained events remain — at which point the engine sits on a
+    /// clean instant boundary, ready to be checkpointed or resumed.
     pub fn run_until(&mut self, stop: SimTime) -> bool {
         loop {
-            let Some((idx, (t, _))) = self.next_source() else {
+            let Some(t) = self.next_instant() else {
                 return false;
             };
             if t > stop {
                 return true;
             }
-            self.now = t;
-            if idx == 0 {
-                let (_, seq, ev) = self.control.pop_keyed().expect("peeked");
-                self.handle_control(t, seq, ev);
-                continue;
-            }
-            // A shard event is next: drain the maximal same-instant run
-            // of shard events, bounded by the next control-plane event
-            // at this instant (events scheduled *by* the run get later
-            // tags and join a subsequent run — exactly the monolith's
-            // order). The streamed-arrival source never bounds a run:
-            // `next_source` already pumped every arrival at `t` into
-            // its shard queue, so the stream's head is strictly later.
-            debug_assert!(
-                self.arrivals
-                    .as_mut()
-                    .and_then(ArrivalSource::peek_key)
-                    .is_none_or(|(due, _)| due > t),
-                "same-instant streamed arrivals were pumped before the run"
-            );
-            let barrier = self
-                .control
-                .peek_key()
-                .filter(|&(due, _)| due == t)
-                .map(|(_, seq)| seq)
-                .unwrap_or(u64::MAX);
-            let mut total = 0usize;
-            let mut work: Vec<(&mut VcShard, RunSlice, Vec<SequencedEffect>)> = Vec::new();
-            for shard in &mut self.shards {
-                let mut events = self.event_bufs.pop().unwrap_or_default();
-                while let Some((due, seq)) = shard.queue.peek_key() {
-                    if due != t || seq >= barrier {
-                        break;
-                    }
-                    let (_, seq, ev) = shard.queue.pop_keyed().expect("peeked");
-                    events.push((seq, ev));
-                }
-                if events.is_empty() {
-                    self.event_bufs.push(events);
-                } else {
-                    total += events.len();
-                    let effects = self.effect_bufs.pop().unwrap_or_default();
-                    work.push((shard, events, effects));
-                }
-            }
-            debug_assert!(total > 0, "a shard peeked ready but drained nothing");
-            // Single-shard fast path (the common case: scattered job
-            // completions and per-app submits): one shard's effect
-            // buffer is already in canonical key order — `due` is fixed
-            // at `t`, seqs arrive nondecreasing and the vc is constant —
-            // so skip the merge machinery and apply it directly.
-            if work.len() == 1 {
-                let (shard, events, effects) = work.pop().expect("length checked");
-                let (events, effects) = shard.process(t, events, effects);
-                debug_assert!(effects.is_sorted_by_key(|e| e.key));
-                self.event_bufs.push(events);
-                self.apply_effects(effects);
-                continue;
-            }
-            // Process the groups — concurrently when the run is wide
-            // enough to pay for the fan-out. Either path computes the
-            // identical per-shard effect buffers.
-            let results: Vec<(RunSlice, Vec<SequencedEffect>)> = if total >= PARALLEL_RUN_MIN_EVENTS
-            {
-                self.parallel_runs += 1;
-                work.into_par_iter()
-                    .map(|(shard, events, effects)| shard.process(t, events, effects))
-                    .collect()
-            } else {
-                work.into_iter()
-                    .map(|(shard, events, effects)| shard.process(t, events, effects))
-                    .collect()
-            };
-            // Canonical application: merge the per-shard buffers by key.
-            // Seqs are globally unique, so the stable sort replays the
-            // run's effects in the exact global schedule order (ties —
-            // one event's own effects — keep emission order).
-            let mut gathered = std::mem::take(&mut self.effect_gather);
-            debug_assert!(gathered.is_empty());
-            for (mut events, mut effects) in results {
-                events.clear();
-                self.event_bufs.push(events);
-                gathered.append(&mut effects);
-                self.effect_bufs.push(effects);
-            }
-            gathered.sort_by_key(|e| e.key);
-            for item in gathered.drain(..) {
-                self.apply_one(item);
-            }
-            self.effect_gather = gathered;
+            self.run_instant(t);
         }
+    }
+
+    /// **The** entry point for external drivers: enqueues `workload`,
+    /// drains the event loop and reports. Equivalent to
+    /// [`Self::enqueue_workload`] + [`Self::run_to_completion`] +
+    /// [`Self::finalize`]; use those pieces directly only when stepping
+    /// or inspecting mid-run state.
+    pub fn run<I>(mut self, workload: I) -> RunReport
+    where
+        I: IntoIterator,
+        I::Item: Borrow<Submission>,
+    {
+        self.enqueue_workload(workload);
+        self.run_to_completion();
+        self.finalize()
+    }
+
+    /// The one run function: drains every event queued at `t` (the
+    /// next instant, as returned by [`Self::next_instant`]), processes
+    /// each shard's slice and applies the effects in canonical order.
+    /// Events the effects schedule at `t` get later tags and join the
+    /// next run — exactly the monolith's order.
+    fn run_instant(&mut self, t: SimTime) {
+        self.now = t;
+        // `next_instant` already pumped every streamed arrival at `t`
+        // into its shard queue, so the stream never bounds a run.
+        debug_assert!(
+            self.arrivals
+                .as_mut()
+                .and_then(ArrivalSource::peek_key)
+                .is_none_or(|(due, _)| due > t),
+            "same-instant streamed arrivals were pumped before the run"
+        );
+        let mut total = 0usize;
+        let mut work: Vec<(&mut VcShard, RunSlice, Vec<SequencedEffect>)> = Vec::new();
+        for shard in &mut self.shards {
+            let mut events = self.event_bufs.pop().unwrap_or_default();
+            while shard.queue.peek_key().is_some_and(|(due, _)| due == t) {
+                let Some((_, seq, ev)) = shard.queue.pop_keyed() else {
+                    unreachable!("peeked above")
+                };
+                events.push((seq, ev));
+            }
+            if events.is_empty() {
+                self.event_bufs.push(events);
+            } else {
+                total += events.len();
+                let effects = self.effect_bufs.pop().unwrap_or_default();
+                work.push((shard, events, effects));
+            }
+        }
+        debug_assert!(total > 0, "the next instant drained nothing");
+        // Single-shard fast path (the common case: scattered job
+        // completions and per-app submits): one shard's effect buffer
+        // is already in canonical key order — `due` is fixed at `t`,
+        // seqs arrive nondecreasing and the vc is constant — so skip
+        // the merge machinery and apply it directly.
+        if work.len() == 1 {
+            let Some((shard, events, effects)) = work.pop() else {
+                unreachable!("length checked")
+            };
+            let (events, effects) = shard.process(t, events, effects);
+            debug_assert!(effects.is_sorted_by_key(|e| e.key));
+            self.event_bufs.push(events);
+            self.apply_effects(effects);
+            return;
+        }
+        // Process the groups — concurrently when the run is wide enough
+        // to pay for the fan-out. Either path computes the identical
+        // per-shard effect buffers.
+        let results: Vec<(RunSlice, Vec<SequencedEffect>)> = if total >= PARALLEL_RUN_MIN_EVENTS {
+            self.parallel_runs += 1;
+            work.into_par_iter()
+                .map(|(shard, events, effects)| shard.process(t, events, effects))
+                .collect()
+        } else {
+            work.into_iter()
+                .map(|(shard, events, effects)| shard.process(t, events, effects))
+                .collect()
+        };
+        // Canonical application: merge the per-shard buffers by key.
+        // Seqs are globally unique, so the stable sort replays the run's
+        // effects in the exact global schedule order (ties — one
+        // event's own effects — keep emission order).
+        let mut gathered = std::mem::take(&mut self.effect_gather);
+        debug_assert!(gathered.is_empty());
+        for (mut events, mut effects) in results {
+            events.clear();
+            self.event_bufs.push(events);
+            gathered.append(&mut effects);
+            self.effect_bufs.push(effects);
+        }
+        gathered.sort_by_key(|e| e.key);
+        for item in gathered.drain(..) {
+            self.apply_one(item);
+        }
+        self.effect_gather = gathered;
     }
 
     // ---- effect application ------------------------------------------------
 
     /// Applies an already-ordered effect buffer and recycles it (the
-    /// control-handler and single-step path; the batch loop merges
-    /// buffers itself and calls [`Self::apply_one`] directly).
+    /// single-shard fast path and in-placement suspensions; wider runs
+    /// merge their buffers first and call [`Self::apply_one`] directly).
     fn apply_effects(&mut self, mut effects: Vec<SequencedEffect>) {
         for item in effects.drain(..) {
             self.apply_one(item);
@@ -878,7 +872,7 @@ impl ShardExecutor {
             Effect::Rejected => self.fabric.rejected += 1,
             other => {
                 let mut out = std::mem::take(&mut self.scratch_out);
-                self.fabric.apply(key.due, other, &mut out);
+                self.fabric.apply(key, other, &mut out);
                 for (due, ev) in out.drain(..) {
                     self.push_event(due, ev);
                 }
@@ -1157,15 +1151,6 @@ impl ShardExecutor {
         Escalation::Leased
     }
 
-    // ---- control plane -----------------------------------------------------
-
-    fn handle_control(&mut self, now: SimTime, _seq: u64, ev: Event) {
-        match ev {
-            Event::CloudReleased { cloud, vms } => self.on_cloud_released(now, cloud, vms),
-            other => unreachable!("shard event routed to the control plane: {other:?}"),
-        }
-    }
-
     /// Applies [`Effect::Place`]: the cross-shard half of an arrival.
     /// The owning shard already type-checked, negotiated, registered
     /// the application and drew every latency the placement might
@@ -1401,18 +1386,6 @@ impl ShardExecutor {
         self.push_event(now + lead + done, Event::TransferStopsDone { app });
     }
 
-    /// Closes a coalesced lease batch: every release completed, bill
-    /// each lease. One logical tick per VM.
-    fn on_cloud_released(&mut self, now: SimTime, cloud: CloudId, vms: Vec<VmId>) {
-        self.control_extra_ticks += (vms.len() as u64).saturating_sub(1);
-        for vm in vms {
-            let close = self.fabric.clouds[cloud.0 as usize]
-                .complete_release(vm, now)
-                .expect("release completes");
-            self.fabric.cloud_bill += close.cost;
-        }
-    }
-
     // ---- checkpointing -----------------------------------------------------
 
     /// Captures the engine's full state at the current instant. Call
@@ -1421,11 +1394,10 @@ impl ShardExecutor {
     /// uninterrupted run's report byte-for-byte at any thread count.
     pub fn checkpoint(&self) -> EngineCheckpoint {
         EngineCheckpoint {
+            format: CHECKPOINT_FORMAT,
             cfg: self.cfg.clone(),
             shards: self.shards.iter().map(VcShard::snapshot).collect(),
             fabric: self.fabric.clone(),
-            control: self.control.snapshot(),
-            control_extra_ticks: self.control_extra_ticks,
             next_seq: self.next_seq,
             now: self.now,
             app_vc: self.app_vc.clone(),
@@ -1445,7 +1417,9 @@ impl ShardExecutor {
     ///
     /// # Panics
     /// When the checkpointed run streamed its workload — resume those
-    /// with [`Self::from_checkpoint_streaming`].
+    /// with [`Self::from_checkpoint_streaming`] — or when the layout
+    /// differs from this build's (vet untrusted files with
+    /// [`EngineCheckpoint::check_format`] first).
     pub fn from_checkpoint(cp: EngineCheckpoint) -> Self {
         assert!(
             cp.arrivals.is_none(),
@@ -1457,7 +1431,8 @@ impl ShardExecutor {
     /// Rebuilds an engine from a checkpoint of a streamed run,
     /// re-attaching a fresh iterator over the *same* workload
     /// (workloads are deterministic in their generator seed); the
-    /// already-processed prefix is skipped.
+    /// already-processed prefix is skipped. Panics like
+    /// [`Self::from_checkpoint`], with the streaming roles swapped.
     pub fn from_checkpoint_streaming<I>(cp: EngineCheckpoint, workload: I) -> Self
     where
         I: IntoIterator<Item = Submission>,
@@ -1475,11 +1450,10 @@ impl ShardExecutor {
         workload: Option<Box<dyn Iterator<Item = Submission> + Send>>,
     ) -> Self {
         let EngineCheckpoint {
+            format,
             cfg,
             shards,
             fabric,
-            control,
-            control_extra_ticks,
             next_seq,
             now,
             app_vc,
@@ -1489,6 +1463,10 @@ impl ShardExecutor {
             arrivals,
             parallel_runs,
         } = cp;
+        assert_eq!(
+            format, CHECKPOINT_FORMAT,
+            "checkpoint layout mismatch; see EngineCheckpoint::check_format"
+        );
         cfg.validate();
         let placement = policy::placement(&cfg.policy).expect("validated policy resolves");
         let bidding = policy::bidding(&cfg.bidding).expect("validated bidding policy resolves");
@@ -1512,15 +1490,13 @@ impl ShardExecutor {
             }
         });
         let vc_kinds = cfg.vcs.iter().map(|v| v.kind).collect();
-        ShardExecutor {
+        Platform {
             cfg,
             placement,
             bidding,
             shards,
             vc_kinds,
             fabric,
-            control: EventQueue::from_snapshot(control),
-            control_extra_ticks,
             next_seq,
             now,
             app_vc,
@@ -1538,7 +1514,7 @@ impl ShardExecutor {
 
     // ---- reporting ---------------------------------------------------------
 
-    /// Builds the final report. Consumes the executor.
+    /// Builds the final report. Consumes the platform.
     ///
     /// In aggregate mode the still-live applications (never completed:
     /// violated-and-stuck, or mid-flight at an early finalize) fold

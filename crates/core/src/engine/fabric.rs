@@ -1,7 +1,7 @@
 //! The shared fabric: everything exactly-one-of in the platform.
 //!
-//! Private pool, public clouds, billing ledger, the used-VM metrics,
-//! the Client-Manager front-end queue and the latency RNG. Shards never
+//! Private pool, public clouds, billing ledger, the used-VM metrics
+//! and the Client-Manager front-end queue. Shards never
 //! touch any of it directly — they emit [`Effect`]s, and the fabric
 //! consumes them one at a time on the executor's thread, in canonical
 //! `(due, vc_id, seq)` order. That single-threaded, canonically-ordered
@@ -10,12 +10,12 @@
 //! the emitting shards were scheduled.
 
 use meryn_sim::metrics::StepSeries;
-use meryn_sim::{SimDuration, SimRng, SimTime};
+use meryn_sim::{SimDuration, SimTime};
 use meryn_sla::Money;
-use meryn_vmm::{ImageRegistry, Ledger, PrivatePool, PublicCloud};
+use meryn_vmm::{Ledger, PrivatePool, PublicCloud};
 use serde::{Deserialize, Serialize};
 
-use crate::engine::effects::Effect;
+use crate::engine::effects::{Effect, EffectKey};
 use crate::events::Event;
 
 /// The platform's shared, singleton state.
@@ -30,8 +30,6 @@ pub struct SharedFabric {
     pub pool: PrivatePool,
     /// The public cloud market.
     pub clouds: Vec<PublicCloud>,
-    #[allow(dead_code)]
-    pub(crate) images: ImageRegistry,
     /// The billing ledger.
     pub ledger: Ledger,
     pub(crate) cloud_bill: Money,
@@ -79,14 +77,6 @@ pub struct SharedFabric {
     /// Per-Client-Manager earliest-free instants (empty = unbounded
     /// front-end concurrency).
     cm_free_at: Vec<SimTime>,
-    /// The residual control-plane latency stream (`master.fork(2)`).
-    /// Since the per-shard streams took over the arrival and
-    /// acquisition draws, nothing draws from it in the shipped engine —
-    /// it stays reserved so embedders driving the fabric directly keep
-    /// a deterministic stream of their own and the constructor
-    /// signature stays stable.
-    #[allow(dead_code)]
-    lat_rng: SimRng,
 }
 
 impl SharedFabric {
@@ -95,18 +85,15 @@ impl SharedFabric {
     ///
     /// Public for the engine's property tests and for embedders that
     /// drive the effect stream directly; the normal path is
-    /// [`crate::engine::ShardExecutor::new`].
+    /// [`crate::engine::Platform::new`].
     pub fn new(
         pool: PrivatePool,
         clouds: Vec<PublicCloud>,
-        images: ImageRegistry,
         client_managers: Option<usize>,
-        lat_rng: SimRng,
     ) -> Self {
         SharedFabric {
             pool,
             clouds,
-            images,
             ledger: Ledger::new(),
             cloud_bill: Money::ZERO,
             busy_private: 0,
@@ -132,7 +119,6 @@ impl SharedFabric {
             lease_retries: 0,
             retries_exhausted: 0,
             cm_free_at: vec![SimTime::ZERO; client_managers.unwrap_or(0)],
-            lat_rng,
         }
     }
 
@@ -184,14 +170,16 @@ impl SharedFabric {
         )
     }
 
-    /// Applies one fabric-directed effect at instant `now`, appending
-    /// any follow-up events to schedule onto `out`.
+    /// Applies one fabric-directed effect at its canonical `key` (the
+    /// instant `key.due`, emitted by shard `key.vc`), appending any
+    /// follow-up events to schedule onto `out`.
     ///
     /// [`Effect::Escalate`], [`Effect::TransferStopped`] and
     /// [`Effect::ReturnStopped`] are *not* handled here — acting on
     /// them reads shard state or schedules onto shard queues with pool
     /// draws interleaved, so the executor owns them.
-    pub fn apply(&mut self, now: SimTime, effect: Effect, out: &mut Vec<(SimTime, Event)>) {
+    pub fn apply(&mut self, key: EffectKey, effect: Effect, out: &mut Vec<(SimTime, Event)>) {
+        let now = key.due;
         match effect {
             Effect::Charge {
                 vm,
@@ -225,7 +213,22 @@ impl SharedFabric {
                         .expect("leased VM can release");
                     done = done.max_of(rel);
                 }
-                out.push((now + done, Event::CloudReleased { cloud, vms }));
+                out.push((
+                    now + done,
+                    Event::CloudReleased {
+                        vc: key.vc,
+                        cloud,
+                        vms,
+                    },
+                ));
+            }
+            Effect::CloseLeases { cloud, vms } => {
+                for vm in vms {
+                    let close = self.clouds[cloud.0 as usize]
+                        .complete_release(vm, now)
+                        .unwrap_or_else(|e| unreachable!("released lease closes: {e:?}"));
+                    self.cloud_bill += close.cost;
+                }
             }
             Effect::ReturnVms { src, victim, vms } => {
                 let mut done = SimDuration::ZERO;
@@ -306,5 +309,95 @@ impl SharedFabric {
             ));
         }
         Ok(())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::events::EventOwner;
+    use crate::ids::VcId;
+    use meryn_sim::SimRng;
+    use meryn_sla::VmRate;
+    use meryn_vmm::{CloudId, ImageId, LatencyModel, PriceModel, VmSpec};
+
+    fn key(due: SimTime, vc: usize) -> EffectKey {
+        EffectKey {
+            due,
+            seq: 0,
+            vc: VcId(vc),
+        }
+    }
+
+    #[test]
+    fn release_then_close_bills_the_leases_and_frees_the_cloud() {
+        let pool = PrivatePool::with_vm_capacity(
+            1,
+            VmSpec::EC2_MEDIUM_LIKE,
+            LatencyModel::uniform_secs(20, 30),
+            LatencyModel::uniform_secs(5, 10),
+            1.0,
+            SimRng::new(1),
+        );
+        let mut cloud = PublicCloud::new(
+            CloudId(0),
+            "edel",
+            PriceModel::Static(VmRate::per_vm_second(4)),
+            LatencyModel::uniform_secs(40, 60),
+            LatencyModel::uniform_secs(5, 10),
+            1.0,
+            None,
+            SimRng::new(2),
+        );
+        cloud.stage_image(ImageId(0));
+        let leased_at = SimTime::from_secs(60);
+        let mut vms = Vec::new();
+        for _ in 0..2 {
+            let (vm, _, _) = cloud
+                .begin_lease(ImageId(0), VmSpec::EC2_MEDIUM_LIKE, SimTime::ZERO)
+                .unwrap();
+            cloud.complete_lease(vm, leased_at).unwrap();
+            vms.push(vm);
+        }
+        let mut fabric = SharedFabric::new(pool, vec![cloud], None);
+        let cloud = CloudId(0);
+
+        let mut out = Vec::new();
+        let release_at = SimTime::from_secs(1000);
+        fabric.apply(
+            key(release_at, 1),
+            Effect::ReleaseCloud {
+                cloud,
+                vms: vms.clone(),
+            },
+            &mut out,
+        );
+        let [(due, event)] = out.as_slice() else {
+            panic!("one release batch event, got {out:?}")
+        };
+        assert_eq!(
+            *event,
+            Event::CloudReleased {
+                vc: VcId(1),
+                cloud,
+                vms: vms.clone()
+            }
+        );
+        assert_eq!(event.owner(), EventOwner::Shard(VcId(1)));
+        assert!(*due >= release_at + SimDuration::from_secs(5));
+        assert_eq!(
+            fabric.clouds[0].active_count(),
+            2,
+            "releasing VMs stay active"
+        );
+
+        let due = *due;
+        out.clear();
+        fabric.apply(key(due, 1), Effect::CloseLeases { cloud, vms }, &mut out);
+        assert!(out.is_empty());
+        assert_eq!(fabric.clouds[0].active_count(), 0);
+        let per_lease = VmRate::per_vm_second(4).cost_for(due.since(leased_at));
+        assert_eq!(fabric.cloud_bill, per_lease + per_lease);
+        fabric.audit_invariants().unwrap();
     }
 }

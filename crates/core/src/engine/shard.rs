@@ -142,10 +142,10 @@ pub struct VcShard {
     /// for this VC come from here, so one shard's draw sequence is a
     /// pure function of `(seed, vc)` — independent of every other VC's
     /// traffic.
-    pub(crate) lat_rng: SimRng,
+    pub(crate) latency_rng: SimRng,
     /// This shard's fault stream: `stream_seed(cfg.seed,
     /// FAULT_STREAM_BASE + vc)`. Crash-hazard draws come from here, a
-    /// stream *separate* from `lat_rng` — fault injection must not
+    /// stream *separate* from `latency_rng` — fault injection must not
     /// perturb the latency draw sequence, so a fault-enabled run stays
     /// comparable to its fault-free twin and faults-off runs stay
     /// byte-identical to pre-fault-plane baselines.
@@ -167,7 +167,7 @@ impl VcShard {
     pub(crate) fn new(
         vc: VirtualCluster,
         policy: ShardPolicy,
-        lat_rng: SimRng,
+        latency_rng: SimRng,
         fault_rng: SimRng,
     ) -> Self {
         VcShard {
@@ -179,7 +179,7 @@ impl VcShard {
             acquired: BTreeMap::new(),
             lendings: BTreeMap::new(),
             policy,
-            lat_rng,
+            latency_rng,
             fault_rng,
             extra_ticks: 0,
             vm_bufs: Vec::new(),
@@ -189,7 +189,7 @@ impl VcShard {
 
     /// Draws one latency from `model` on this shard's RNG stream.
     pub(crate) fn sample(&mut self, model: LatencyModel) -> SimDuration {
-        model.sample(&mut self.lat_rng)
+        model.sample(&mut self.latency_rng)
     }
 
     /// This shard's id.
@@ -293,8 +293,12 @@ impl VcShard {
                 debug_assert_eq!(vc, self.vc.id, "misrouted replacement");
                 self.on_crash_replacement_ready(now, vms, sink);
             }
+            Event::CloudReleased { vc, cloud, vms } => {
+                debug_assert_eq!(vc, self.vc.id, "misrouted lease close");
+                self.credit_batch(vms.len());
+                sink.emit(Effect::CloseLeases { cloud, vms });
+            }
             Event::LeaseRetry { app, attempt } => self.sla_verdict(now, app, Some(attempt), sink),
-            other => unreachable!("control event routed to a shard: {other:?}"),
         }
     }
 
@@ -355,8 +359,7 @@ impl VcShard {
         // The suspension extras are drawn *unconditionally* — whether
         // one is consumed depends on the placement decision the
         // executor has not made yet, and drawing both here keeps the
-        // stream sequence identical between the batch barrier and the
-        // single-step path.
+        // stream sequence independent of that decision.
         let handling = self.sample(self.policy.base_latency);
         let suspend_local = self.sample(self.policy.suspend_local);
         let suspend_remote = self.sample(self.policy.suspend_remote);
@@ -925,7 +928,7 @@ impl VcShard {
             pending: self.pending.clone(),
             acquired: self.acquired.clone(),
             lendings: self.lendings.clone(),
-            lat_rng: self.lat_rng.clone(),
+            latency_rng: self.latency_rng.clone(),
             fault_rng: self.fault_rng.clone(),
             extra_ticks: self.extra_ticks,
         }
@@ -942,7 +945,7 @@ impl VcShard {
             acquired: snap.acquired,
             lendings: snap.lendings,
             policy,
-            lat_rng: snap.lat_rng,
+            latency_rng: snap.latency_rng,
             fault_rng: snap.fault_rng,
             extra_ticks: snap.extra_ticks,
             vm_bufs: Vec::new(),
@@ -961,7 +964,7 @@ pub struct ShardSnapshot {
     pending: BTreeMap<AppId, PendingAcquisition>,
     acquired: BTreeMap<AppId, Vec<VmId>>,
     lendings: BTreeMap<AppId, Lending>,
-    lat_rng: SimRng,
+    latency_rng: SimRng,
     fault_rng: SimRng,
     extra_ticks: u64,
 }

@@ -10,8 +10,9 @@
 //! whole batch of per-VM stop/boot/provision ticks finishes (the batch
 //! completes when its *slowest* member does — latencies are drawn per
 //! VM, the event lands at the maximum). Each coalesced event expands
-//! locally in its owning shard, so the sequential control plane owns
-//! only arrivals and cloud-lease closes.
+//! locally in its owning shard; whatever it needs from the shared
+//! fabric travels back as an [`crate::engine::Effect`]. Every event has
+//! a shard owner.
 
 use meryn_frameworks::JobId;
 use meryn_vmm::{CloudId, VmId};
@@ -95,8 +96,12 @@ pub enum Event {
         vms: Vec<VmId>,
     },
     /// Every cloud VM of a finished application's lease batch completed
-    /// releasing; the leases close and are billed.
+    /// releasing; the releasing shard hands the batch back as
+    /// [`crate::engine::Effect::CloseLeases`], which closes and bills
+    /// the leases.
     CloudReleased {
+        /// The VC whose application held the leases.
+        vc: VcId,
         /// The cloud they belonged to.
         cloud: CloudId,
         /// The released VMs.
@@ -141,14 +146,9 @@ pub enum Event {
     },
 }
 
-/// Which state machine owns an event under the sharded engine.
+/// Which VC shard owns an event under the sharded engine.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventOwner {
-    /// The executor's sequential control plane: cloud-lease closes
-    /// (pure fabric billing, no shard state at all). Arrivals moved
-    /// shard-side in PR 10; only streamed-arrival cursor advancement
-    /// and lease closes remain control-plane.
-    Control,
     /// A specific VC shard's local state machine.
     Shard(VcId),
     /// The shard hosting the given application (the executor resolves
@@ -157,18 +157,18 @@ pub enum EventOwner {
 }
 
 impl Event {
-    /// Routes the event to its owning state machine.
+    /// Routes the event to its owning shard.
     ///
-    /// Shard-owned events are exactly those whose handlers mutate only
-    /// their VC's framework, applications and stints — everything they
-    /// need from the shared fabric travels back as typed
-    /// [`crate::engine::Effect`]s, which is what makes the per-instant
-    /// shard batches safe to process in parallel.
+    /// Every handler mutates only its VC's framework, applications and
+    /// stints — everything it needs from the shared fabric travels back
+    /// as typed [`crate::engine::Effect`]s, which is what makes the
+    /// per-instant shard batches safe to process in parallel.
     pub fn owner(&self) -> EventOwner {
         match *self {
             Event::JobFinished { vc, .. }
             | Event::ReturnStopsDone { src: vc, .. }
             | Event::ReturnReady { src: vc, .. }
+            | Event::CloudReleased { vc, .. }
             | Event::VmCrash { vc, .. }
             | Event::CrashReplacementReady { vc, .. } => EventOwner::Shard(vc),
             Event::Arrival { app, .. }
@@ -178,7 +178,6 @@ impl Event {
             | Event::TransferReady { app }
             | Event::CloudVmsReady { app }
             | Event::LeaseRetry { app, .. } => EventOwner::AppShard(app),
-            Event::CloudReleased { .. } => EventOwner::Control,
         }
     }
 }

@@ -20,8 +20,7 @@
 //! | [`bidding`] | §4.2.2 Algorithm 2: bid computation |
 //! | [`policy`] | pluggable placement/bidding strategies + the string-keyed registry |
 //! | [`protocol`] | §4.1 Algorithm 1: resource selection |
-//! | [`engine`] | the sharded executor: per-VC shard state machines, the shared fabric, typed effects |
-//! | [`platform`] | the historical `Platform` facade over the engine |
+//! | [`engine`] | the [`Platform`] engine: per-VC shard state machines, the shared fabric, typed effects |
 //! | [`config`] | deployment knobs; [`config::PlatformConfig::paper`] reproduces the evaluation setup |
 //! | [`report`] | the measurements behind Figures 5–6 and Table 1 |
 //!
@@ -29,7 +28,7 @@
 //!
 //! ```
 //! use meryn_core::config::PlatformConfig;
-//! use meryn_core::platform::Platform;
+//! use meryn_core::Platform;
 //! use meryn_workloads::{paper_workload, PaperWorkloadParams};
 //!
 //! // Policies are named; "meryn" and "static" are the paper's two.
@@ -50,13 +49,11 @@ pub mod config;
 pub mod engine;
 pub mod events;
 pub mod ids;
-pub mod platform;
 pub mod policy;
 pub mod protocol;
 pub mod report;
 
 pub use config::PlatformConfig;
-pub use engine::EngineCheckpoint;
+pub use engine::{EngineCheckpoint, Platform};
 pub use ids::{AppId, Placement, VcId};
-pub use platform::Platform;
 pub use report::{ReportMode, RunReport};

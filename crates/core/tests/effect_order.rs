@@ -21,8 +21,7 @@ const POOL_VMS: u64 = 12;
 
 /// A fresh fabric over a pool of `POOL_VMS` running VMs (no clouds).
 fn fresh_fabric() -> (SharedFabric, Vec<VmId>) {
-    let mut images = ImageRegistry::new();
-    let image = images.register("shard-image", 4096);
+    let image = ImageRegistry::new().register("shard-image", 4096);
     let mut pool = PrivatePool::with_vm_capacity(
         POOL_VMS,
         VmSpec::EC2_MEDIUM_LIKE,
@@ -37,10 +36,7 @@ fn fresh_fabric() -> (SharedFabric, Vec<VmId>) {
         pool.complete_start(vm, SimTime::ZERO).expect("fresh VM");
         vms.push(vm);
     }
-    (
-        SharedFabric::new(pool, Vec::new(), images, None, SimRng::new(9)),
-        vms,
-    )
+    (SharedFabric::new(pool, Vec::new(), None), vms)
 }
 
 /// Applies `effects` (already canonically sorted) and returns the
@@ -50,7 +46,7 @@ fn drive(effects: &[SequencedEffect]) -> (String, String, (u64, u64), String) {
     let (mut fabric, _) = fresh_fabric();
     let mut out = Vec::new();
     for e in effects {
-        fabric.apply(e.key.due, e.effect.clone(), &mut out);
+        fabric.apply(e.key, e.effect.clone(), &mut out);
     }
     let ledger = serde_json::to_string(&fabric.ledger.entries()).expect("entries serialize");
     let pool = serde_json::to_string(&fabric.pool).expect("pool serializes");

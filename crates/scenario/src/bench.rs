@@ -20,11 +20,10 @@ use serde::Serialize;
 use crate::runner::expand_variants;
 use crate::spec::Scenario;
 
-/// One queue's share of a run's events (the control plane or one VC
-/// shard).
+/// One VC shard queue's share of a run's events.
 #[derive(Debug, Clone, Serialize)]
 pub struct QueueEvents {
-    /// Queue name: `"control"` or the VC's name.
+    /// Queue name: the VC's name.
     pub queue: String,
     /// Events that queue processed.
     pub events: u64,
@@ -37,14 +36,8 @@ pub struct BenchVariant {
     pub label: String,
     /// Simulation events processed by the run.
     pub events: u64,
-    /// Per-queue breakdown: the sequential control plane first, then
-    /// one entry per VC shard, `VcId` order.
+    /// Per-queue breakdown: one entry per VC shard, `VcId` order.
     pub events_by_queue: Vec<QueueEvents>,
-    /// The control queue's share of the run's events — the fraction of
-    /// events the executor had to serialize. Derived from
-    /// `events_by_queue`; 0 when the breakdown is empty. PR 10's CI
-    /// gate holds this under a ceiling on representative-datacenter.
-    pub control_fraction: f64,
     /// Same-instant cross-shard runs the executor fanned out to worker
     /// threads.
     pub parallel_runs: u64,
@@ -73,23 +66,6 @@ pub struct BenchReport {
     /// under a ceiling to pin the engine's O(live) memory behaviour.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub peak_rss_bytes: Option<u64>,
-}
-
-/// The control queue's share of a run's events: `control / total` over
-/// the per-queue breakdown (0 on an empty breakdown). The quantity the
-/// shard refactors push down — shard events parallelize, control
-/// events serialize.
-fn control_fraction(by_queue: &[QueueEvents]) -> f64 {
-    let total: u64 = by_queue.iter().map(|q| q.events).sum();
-    if total == 0 {
-        return 0.0;
-    }
-    let control: u64 = by_queue
-        .iter()
-        .filter(|q| q.queue == "control")
-        .map(|q| q.events)
-        .sum();
-    control as f64 / total as f64
 }
 
 /// Extracts the `VmHWM` high-water mark [bytes] from a
@@ -147,10 +123,9 @@ impl BenchReport {
                 .collect();
             let _ = writeln!(
                 out,
-                "{:<label_w$}   {} control_fraction={:.3} parallel_runs={}",
+                "{:<label_w$}   {} parallel_runs={}",
                 "",
                 shares.join(" "),
-                v.control_fraction,
                 v.parallel_runs
             );
         }
@@ -220,7 +195,6 @@ pub fn bench_scenario(scenario: &Scenario) -> io::Result<BenchReport> {
             .into_iter()
             .map(|(queue, events)| QueueEvents { queue, events })
             .collect();
-        let control_fraction = control_fraction(&events_by_queue);
         let parallel_runs = platform.parallel_runs();
         let report = platform.finalize();
         let wall = start.elapsed().as_secs_f64();
@@ -231,7 +205,6 @@ pub fn bench_scenario(scenario: &Scenario) -> io::Result<BenchReport> {
             label: variant.label,
             events,
             events_by_queue,
-            control_fraction,
             parallel_runs,
             wall_secs: wall,
             events_per_sec: if wall > 0.0 {
@@ -272,42 +245,21 @@ mod tests {
             b.total_events,
             b.variants.iter().map(|v| v.events).sum::<u64>()
         );
+        let vcs: Vec<String> = s.platform.vcs.iter().map(|v| v.name.clone()).collect();
         for v in &b.variants {
-            assert_eq!(v.events_by_queue[0].queue, "control");
+            let queues: Vec<String> = v.events_by_queue.iter().map(|q| q.queue.clone()).collect();
+            assert_eq!(queues, vcs, "one entry per VC shard, VcId order");
             assert_eq!(
                 v.events,
                 v.events_by_queue.iter().map(|q| q.events).sum::<u64>(),
                 "per-queue breakdown must cover every event"
             );
-            let expected = v.events_by_queue[0].events as f64 / v.events as f64;
-            assert!(
-                (v.control_fraction - expected).abs() < 1e-12,
-                "control_fraction must be the control queue's share"
-            );
-            assert!(
-                v.control_fraction < 0.25,
-                "shard-side admission keeps the control plane under a \
-                 quarter of events (got {})",
-                v.control_fraction
-            );
         }
         let rendered = b.render();
         assert!(rendered.contains("events/sec"));
-        assert!(rendered.contains("control_fraction="));
-        assert!(b.to_json().contains("\"control_fraction\""));
+        assert!(rendered.contains("parallel_runs="));
+        assert!(b.to_json().contains("\"events_by_queue\""));
         assert!(b.to_json().contains("\"total_events\""));
-    }
-
-    #[test]
-    fn control_fraction_handles_empty_and_mixed_breakdowns() {
-        assert_eq!(control_fraction(&[]), 0.0);
-        let q = |queue: &str, events: u64| QueueEvents {
-            queue: queue.into(),
-            events,
-        };
-        assert_eq!(control_fraction(&[q("control", 0), q("VC1", 0)]), 0.0);
-        assert_eq!(control_fraction(&[q("control", 1), q("VC1", 3)]), 0.25);
-        assert_eq!(control_fraction(&[q("VC1", 7)]), 0.0);
     }
 
     #[test]

@@ -477,7 +477,7 @@ pub fn single_run_start(scenario: &Scenario) -> io::Result<Platform> {
 /// checkpoints re-derive the submission stream from the scenario's
 /// generator (the workload is deterministic from its seed; the
 /// checkpoint only carries the cursor); batch checkpoints carry their
-/// remaining arrivals in the control queue and need nothing else.
+/// remaining arrivals in the shard queues and need nothing else.
 /// Resuming and running to completion is byte-identical to the
 /// uninterrupted run.
 pub fn single_run_resume(scenario: &Scenario, cp: EngineCheckpoint) -> Platform {

@@ -233,7 +233,7 @@ impl<E> EventQueue<E> {
     /// tag.
     ///
     /// This is the multi-queue entry point: when several queues (e.g.
-    /// per-shard queues plus a control queue) share one global ordering,
+    /// an engine's per-shard queues) share one global ordering,
     /// a single external counter hands out the tags and the queues are
     /// merged by [`EventQueue::peek_key`]. Tags may arrive out of order
     /// — a streamed-arrival block reserves its tags up front and is

@@ -107,7 +107,8 @@ proptest! {
     }
 
     /// Platform-level conservation: however the workload lands, private
-    /// VM slots are conserved, every VM charge is non-negative, and the
+    /// VM slots are conserved, the fabric's audit invariants hold after
+    /// every same-instant run, every VM charge is non-negative, and the
     /// used-VM series never exceeds capacity or goes negative.
     #[test]
     fn platform_conserves_vms_and_money(
@@ -135,8 +136,10 @@ proptest! {
         let mut platform = Platform::new(cfg);
         platform.enqueue_workload(&workload);
         while platform.step() {
-            // Invariant: pool never exceeds its capacity.
+            // Invariants at every run barrier: the pool never exceeds
+            // its capacity and the fabric's counters stay conserved.
             prop_assert!(platform.pool().active_count() <= 6);
+            prop_assert_eq!(platform.audit_invariants(), Ok(()));
         }
         let pool_active = platform.pool().active_count();
         let report = platform.finalize();
