@@ -3,9 +3,9 @@
 //! full platform).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use meryn_bench::spec::{WorkloadModifier, WorkloadSpec};
-use meryn_bench::{catalog, run_paper};
 use meryn_core::Platform;
+use meryn_scenario::spec::{WorkloadModifier, WorkloadSpec};
+use meryn_scenario::{run_paper, Scenario};
 use meryn_sim::{EventQueue, SimTime};
 
 fn bench_event_queue(c: &mut Criterion) {
@@ -44,7 +44,10 @@ fn bench_paper_scenario(c: &mut Criterion) {
 /// the `BENCH_4.json` quantity, sized for a bench iteration (10k of the
 /// scenario's 100k submissions).
 fn bench_engine_throughput(c: &mut Criterion) {
-    let mut scenario = catalog::representative_datacenter();
+    let mut scenario = Scenario::from_json(include_str!(
+        "../../../scenarios/representative-datacenter.json"
+    ))
+    .expect("the shipped representative-datacenter spec parses");
     let WorkloadSpec::Generated { config, .. } = &mut scenario.workload else {
         panic!("representative-datacenter uses a generated workload");
     };

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! cargo run --release -p meryn-bench --bin scenario -- scenarios/paper.json
-//! cargo run --release -p meryn-bench --bin scenario -- scenarios/paper.json --json out.json
+//! cargo run --release -p meryn-bench --bin scenario -- scenarios/fig5.json --json out.json
 //! cargo run --release -p meryn-bench --bin scenario -- scenarios/representative-datacenter.json --bench
 //! cargo run --release -p meryn-bench --bin scenario -- --catalog hyperscale --bench
 //! cargo run --release -p meryn-bench --bin scenario -- scenarios/hyperscale-ci.json --single --json full.json
@@ -10,18 +10,19 @@
 //! cargo run --release -p meryn-bench --bin scenario -- scenarios/hyperscale-ci.json --resume cp.json --json resumed.json
 //! ```
 //!
-//! The `--json` report is byte-identical at any thread count (CI
+//! The human rendering (`ScenarioReport::render`) prints one block per
+//! report section the spec's `outputs` asked for: the paper's tables
+//! and figures and every ablation are spec files, not binaries. The
+//! `--json` report is byte-identical at any thread count (CI
 //! byte-compares `RAYON_NUM_THREADS=1` against the threaded run for
 //! every checked-in spec). `--quiet` suppresses the human rendering.
 //! `--bench` measures engine throughput instead of producing a report:
 //! it times every variant's base-seed run and prints events/second and
 //! peak RSS (with `--json`, writes the `BENCH_4.json`-style artifact —
 //! timings are machine-dependent, so bench JSON is never
-//! byte-compared). `--emit-shipped DIR` regenerates the checked-in
-//! spec files from the `meryn_scenario::catalog` source of truth
-//! instead of running one. `--catalog NAME` loads a catalog entry by
-//! name instead of a file — the only way to reach the unshipped full
-//! `hyperscale` spec.
+//! byte-compared). `--catalog hyperscale` loads the one scenario that
+//! is not shipped as a file, the full-size `hyperscale` run
+//! (`meryn_scenario::catalog`).
 //!
 //! The checkpoint workflow operates on the scenario's base-seed
 //! first-variant run (see `meryn_scenario::single_run_start`):
@@ -30,69 +31,58 @@
 //! due after SECS, snapshots the complete engine state to FILE and
 //! exits; `--resume FILE` restores and runs to completion. The
 //! resumed report is byte-identical to the `--single` one — CI `cmp`s
-//! them. FILE is published atomically (written as `FILE.tmp`, synced,
-//! then renamed over FILE), so a killed writer never leaves a torn
-//! checkpoint behind; `--resume` rejects a checkpoint whose `format`
-//! is missing or differs from this build's.
+//! them. `--resume` rejects a checkpoint whose `format` is missing or
+//! differs from this build's.
+//!
+//! Every file the binary writes is published atomically
+//! (`meryn_scenario::publish_atomically`: written as `FILE.tmp`,
+//! synced, then renamed over FILE), so a killed writer never leaves a
+//! torn report or checkpoint behind. A malformed spec, an unreadable
+//! input or an unwritable output exits 2 with a diagnostic.
 
-use meryn_bench::{
-    bench_scenario, catalog, run_scenario, single_run_resume, single_run_start, Scenario,
-};
 use meryn_core::EngineCheckpoint;
+use meryn_scenario::{
+    bench_scenario, catalog, publish_atomically, run_scenario, single_run_resume, single_run_start,
+    Scenario,
+};
 use meryn_sim::SimTime;
-use std::path::Path;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: scenario <spec.json | --catalog NAME> [--json FILE] [--quiet] [--bench] \
-         [--single | --checkpoint FILE --checkpoint-at SECS | --resume FILE] \
-         | scenario --emit-shipped DIR"
+        "usage: scenario <spec.json | --catalog hyperscale> [--json FILE] [--quiet] [--bench] \
+         [--single | --checkpoint FILE --checkpoint-at SECS | --resume FILE]"
     );
     std::process::exit(2);
 }
 
-/// [`single_run_start`] with the bin's diagnostic convention: workload
-/// materialization and stream-attachment failures are user-input
-/// problems, reported on stderr with exit 2 (like an unreadable spec or
-/// a corrupt checkpoint) rather than a panic.
-fn start_single_run(scenario: &Scenario) -> meryn_core::Platform {
-    match single_run_start(scenario) {
-        Ok(platform) => platform,
-        Err(e) => {
-            eprintln!("error: cannot start {}: {e}", scenario.name);
-            std::process::exit(2);
-        }
-    }
+/// Reports a user-input problem on stderr and exits 2.
+fn fail(msg: impl std::fmt::Display) -> ! {
+    eprintln!("error: {msg}");
+    std::process::exit(2);
 }
 
-/// Writes `json` to `path` crash-consistently: into `path.tmp` in the
-/// same directory, synced to disk, then renamed over `path` — a reader
-/// sees the old file or the whole new one, never a torn write. The
-/// directory is synced last so the rename itself survives a crash.
-fn publish_atomically(path: &str, json: &str) -> std::io::Result<()> {
-    use std::io::Write as _;
-    let tmp = format!("{path}.tmp");
-    let mut file = std::fs::File::create(&tmp)?;
-    let published = file
-        .write_all(json.as_bytes())
-        .and_then(|()| file.sync_all())
-        .and_then(|()| std::fs::rename(&tmp, path));
-    if published.is_err() {
-        let _ = std::fs::remove_file(&tmp);
+/// [`single_run_start`] with the bin's diagnostic convention: a
+/// malformed spec, workload materialization and stream-attachment
+/// failures are user-input problems, reported on stderr with exit 2
+/// (like an unreadable spec or a corrupt checkpoint) rather than a
+/// panic.
+fn start_single_run(scenario: &Scenario) -> meryn_core::Platform {
+    single_run_start(scenario)
+        .unwrap_or_else(|e| fail(format!("cannot start {}: {e}", scenario.name)))
+}
+
+/// Publishes `contents` to `path`, exiting 2 when it cannot.
+fn publish(what: &str, path: &str, contents: &str) {
+    if let Err(e) = publish_atomically(path, contents) {
+        fail(format!("cannot write {what} {path}: {e}"));
     }
-    published?;
-    let dir = Path::new(path)
-        .parent()
-        .filter(|d| !d.as_os_str().is_empty())
-        .unwrap_or(Path::new("."));
-    std::fs::File::open(dir)?.sync_all()
 }
 
 fn write_run_report(report: &meryn_core::RunReport, json_path: Option<&str>, quiet: bool) {
     if let Some(path) = json_path {
         let mut json = serde_json::to_string_pretty(report).expect("report serializes");
         json.push('\n');
-        std::fs::write(path, json).expect("write run report JSON");
+        publish("run report", path, &json);
         if !quiet {
             println!("wrote {path}");
         }
@@ -116,15 +106,6 @@ fn main() {
                 Some(path) => json_path = Some(path),
                 None => usage(),
             },
-            "--emit-shipped" => {
-                let Some(dir) = args.next() else { usage() };
-                for (stem, scenario) in catalog::shipped() {
-                    let path = std::path::Path::new(&dir).join(format!("{stem}.json"));
-                    scenario.save(&path).expect("write shipped spec");
-                    println!("wrote {}", path.display());
-                }
-                return;
-            }
             "--catalog" => match args.next() {
                 Some(name) => catalog_name = Some(name),
                 None => usage(),
@@ -151,22 +132,15 @@ fn main() {
         }
     }
 
-    let scenario = match (&spec_path, &catalog_name) {
-        (Some(path), None) => match Scenario::load(path) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("error: cannot load scenario: {e}");
-                std::process::exit(2);
-            }
-        },
-        (None, Some(name)) => match catalog::all().into_iter().find(|(stem, _)| stem == name) {
-            Some((_, s)) => s,
-            None => {
-                let names: Vec<&str> = catalog::all().iter().map(|(stem, _)| *stem).collect();
-                eprintln!("error: unknown catalog scenario {name:?}; known: {names:?}");
-                std::process::exit(2);
-            }
-        },
+    let scenario = match (&spec_path, catalog_name.as_deref()) {
+        (Some(path), None) => {
+            Scenario::load(path).unwrap_or_else(|e| fail(format!("cannot load scenario: {e}")))
+        }
+        (None, Some("hyperscale")) => catalog::hyperscale(),
+        (None, Some(name)) => fail(format!(
+            "unknown catalog scenario {name:?}; the catalog holds only \"hyperscale\" \
+             (shipped specs are files: scenarios/<name>.json)"
+        )),
         _ => usage(),
     };
 
@@ -185,10 +159,7 @@ fn main() {
         let cp = platform.checkpoint();
         let mut json = serde_json::to_string(&cp).expect("checkpoint serializes");
         json.push('\n');
-        if let Err(e) = publish_atomically(&cp_path, &json) {
-            eprintln!("error: cannot write checkpoint {cp_path}: {e}");
-            std::process::exit(2);
-        }
+        publish("checkpoint", &cp_path, &json);
         if !quiet {
             println!(
                 "checkpointed {} at t={} s ({}): {cp_path}",
@@ -200,26 +171,19 @@ fn main() {
         return;
     }
     if let Some(cp_path) = resume_path {
-        let text = match std::fs::read_to_string(&cp_path) {
-            Ok(text) => text,
-            Err(e) => {
-                eprintln!("error: cannot read checkpoint {cp_path}: {e}");
-                std::process::exit(2);
-            }
-        };
-        let cp: EngineCheckpoint = match serde_json::from_str(&text) {
-            Ok(cp) => cp,
-            Err(e) => {
-                eprintln!(
-                    "error: {cp_path} is not a valid engine checkpoint \
-                     (truncated, corrupt or from an older build?): {e}"
-                );
-                std::process::exit(2);
-            }
-        };
+        let text = std::fs::read_to_string(&cp_path)
+            .unwrap_or_else(|e| fail(format!("cannot read checkpoint {cp_path}: {e}")));
+        let cp: EngineCheckpoint = serde_json::from_str(&text).unwrap_or_else(|e| {
+            fail(format!(
+                "{cp_path} is not a valid engine checkpoint \
+                 (truncated, corrupt or from an older build?): {e}"
+            ))
+        });
         if let Err(e) = cp.check_format() {
-            eprintln!("error: {cp_path}: {e}");
-            std::process::exit(2);
+            fail(format!("{cp_path}: {e}"));
+        }
+        if let Err(e) = scenario.check() {
+            fail(format!("cannot resume {}: {e}", scenario.name));
         }
         let mut platform = single_run_resume(&scenario, cp);
         platform.run_to_completion();
@@ -229,36 +193,25 @@ fn main() {
     }
 
     if bench {
-        let report = match bench_scenario(&scenario) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("error: bench failed: {e}");
-                std::process::exit(1);
-            }
-        };
+        let report =
+            bench_scenario(&scenario).unwrap_or_else(|e| fail(format!("bench failed: {e}")));
         if !quiet {
             print!("{}", report.render());
         }
         if let Some(path) = json_path {
-            std::fs::write(&path, report.to_json()).expect("write bench JSON");
+            publish("bench JSON", &path, &report.to_json());
             if !quiet {
                 println!("\nwrote {path}");
             }
         }
         return;
     }
-    let report = match run_scenario(&scenario) {
-        Ok(r) => r,
-        Err(e) => {
-            eprintln!("error: scenario failed: {e}");
-            std::process::exit(1);
-        }
-    };
+    let report = run_scenario(&scenario).unwrap_or_else(|e| fail(format!("scenario failed: {e}")));
     if !quiet {
         print!("{}", report.render());
     }
     if let Some(path) = json_path {
-        std::fs::write(&path, report.to_json()).expect("write scenario report JSON");
+        publish("scenario report", &path, &report.to_json());
         if !quiet {
             println!("\nwrote {path}");
         }

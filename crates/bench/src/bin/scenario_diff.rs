@@ -6,12 +6,12 @@
 //! cargo run --release -p meryn-bench --bin scenario-diff -- --regen [goldens-dir]
 //! ```
 //!
-//! `--regen` re-runs every `meryn_scenario::catalog::shipped()` spec
-//! (the same source of truth the checked-in `scenarios/*.json` files
-//! byte-match) and rewrites `scenarios/goldens/<stem>.json`, printing
-//! the per-metric delta of each golden that changed. Run it once per
-//! intentional behaviour change and commit the summary with the
-//! rewrite — that is the repository's re-baseline policy.
+//! `--regen` re-runs every spec file `scenarios/*.json` (relative to
+//! the working directory — the set the golden test and CI walk) and
+//! rewrites `<goldens-dir>/<stem>.json`, printing the per-metric delta
+//! of each golden that changed. Run it once per intentional behaviour
+//! change and commit the summary with the rewrite — that is the
+//! repository's re-baseline policy.
 //!
 //! Exit status: `0` when the reports are identical (no golden moved),
 //! `1` when any metric differs (CI gates on this — e.g. the
@@ -19,7 +19,7 @@
 //! leaves print `a → b (Δ)`; structural mismatches (missing keys,
 //! different lengths or kinds) are reported at their JSON path.
 
-use meryn_bench::{catalog, run_scenario};
+use meryn_scenario::{publish_atomically, run_scenario, Scenario};
 use serde_json::Value;
 
 fn usage() -> ! {
@@ -124,13 +124,40 @@ fn load(path: &str) -> Value {
     }
 }
 
-/// `--regen`: rewrite every shipped golden from the catalog, printing
-/// a per-metric delta summary of the ones that moved.
+/// Where `--regen` finds the spec files.
+const SPECS_DIR: &str = "scenarios";
+
+/// The stems of the spec files under [`SPECS_DIR`], sorted.
+fn spec_stems() -> Vec<String> {
+    let entries = match std::fs::read_dir(SPECS_DIR) {
+        Ok(entries) => entries,
+        Err(e) => {
+            eprintln!("error: cannot list {SPECS_DIR}/ (run from the repository root): {e}");
+            std::process::exit(2);
+        }
+    };
+    let mut stems: Vec<String> = entries
+        .filter_map(|entry| {
+            let path = entry.ok()?.path();
+            if path.extension()? != "json" {
+                return None;
+            }
+            Some(path.file_stem()?.to_str()?.to_owned())
+        })
+        .collect();
+    stems.sort();
+    stems
+}
+
+/// `--regen`: rewrite the golden of every spec file, printing a
+/// per-metric delta summary of the ones that moved.
 fn regen(dir: &str, quiet: bool) -> ! {
     let mut rewritten = 0usize;
-    for (stem, scenario) in catalog::shipped() {
+    for stem in spec_stems() {
         let path = format!("{dir}/{stem}.json");
-        let fresh = match run_scenario(&scenario) {
+        let fresh = match Scenario::load(format!("{SPECS_DIR}/{stem}.json"))
+            .and_then(|scenario| run_scenario(&scenario))
+        {
             Ok(report) => report.to_json(),
             Err(e) => {
                 eprintln!("error: {stem}: {e}");
@@ -145,7 +172,7 @@ fn regen(dir: &str, quiet: bool) -> ! {
             continue;
         }
         rewritten += 1;
-        if let Err(e) = std::fs::write(&path, &fresh) {
+        if let Err(e) = publish_atomically(&path, &fresh) {
             eprintln!("error: cannot write {path}: {e}");
             std::process::exit(2);
         }

@@ -10,10 +10,11 @@
 //! The JSON report is deterministic for a given replica count at any
 //! thread count (CI byte-compares the `RAYON_NUM_THREADS=1` and threaded
 //! runs), because replica seeds are derived streams and aggregation
-//! happens in replica order after an order-preserving collect.
+//! happens in replica order after an order-preserving collect. It is
+//! published atomically; an unwritable path exits 2.
 
-use meryn_bench::spec::OutputSpec;
-use meryn_bench::{catalog, run_scenario, section};
+use meryn_scenario::spec::OutputSpec;
+use meryn_scenario::{publish_atomically, run_scenario, Scenario};
 
 fn main() {
     let mut replicas: u64 = 30;
@@ -38,16 +39,18 @@ fn main() {
         }
     }
 
-    let mut s = catalog::paper();
+    let mut s = Scenario::from_json(include_str!("../../../../scenarios/paper.json"))
+        .expect("the shipped paper spec parses");
     s.name = "sweep".into();
     s.description.clear();
     s.sweep.replicas = replicas;
     s.outputs = OutputSpec::default();
     let report = run_scenario(&s).expect("paper workload needs no files");
 
-    section(&format!(
-        "Seed sweep — {replicas} replicas per policy (paper workload)"
-    ));
+    println!(
+        "\n════ Seed sweep — {replicas} replicas per policy (paper workload) \
+         ═══════════════════════════════════════"
+    );
     println!(
         "{:<8} {:>22} {:>22} {:>12} {:>11}",
         "mode", "completion [s]", "total cost [u]", "peak cloud", "violations"
@@ -88,7 +91,10 @@ fn main() {
     );
 
     if let Some(path) = json_path {
-        std::fs::write(&path, report.to_json()).expect("write sweep JSON");
+        if let Err(e) = publish_atomically(&path, &report.to_json()) {
+            eprintln!("error: cannot write sweep JSON {path}: {e}");
+            std::process::exit(2);
+        }
         println!("\nwrote {path}");
     }
 }

@@ -1,30 +1,124 @@
-//! Drives the `scenario` binary's checkpoint paths: a missing,
-//! truncated, corrupt or wrong-format checkpoint handed to `--resume`
-//! must produce a clear diagnostic and exit code 2 — never a panic
-//! backtrace — and `--checkpoint` publishes its file atomically.
+//! Drives the `scenario` binary's failure paths: a malformed spec, a
+//! missing, truncated, corrupt or wrong-format checkpoint handed to
+//! `--resume`, or an unwritable output must produce a clear diagnostic
+//! and exit code 2 — never a panic backtrace — and `--checkpoint`
+//! publishes its file atomically.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
+use meryn_scenario::spec::{SweepAxis, WorkloadSpec};
+use meryn_scenario::Scenario;
 use serde_json::Value;
 
 fn scenario_bin() -> Command {
     Command::new(env!("CARGO_BIN_EXE_scenario"))
 }
 
-/// A minimal spec file for the failure-path invocations (the resume
-/// paths bail before the workload ever runs). One file per test —
-/// the harness runs tests concurrently.
-fn spec_path(stem: &str) -> PathBuf {
+/// The shipped paper spec, cut to its two headline runs.
+fn small_paper() -> Scenario {
+    let mut s = Scenario::load(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../scenarios/paper.json"
+    ))
+    .expect("the shipped paper spec loads");
+    s.sweep.replicas = 0;
+    s.outputs.table1_samples = None;
+    s
+}
+
+/// Writes `scenario` as `<stem>.json` into a per-process temp dir —
+/// one file per test, as the harness runs tests concurrently.
+fn save_spec(stem: &str, scenario: &Scenario) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("meryn-scenario-bin-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("create temp dir");
     let path = dir.join(format!("{stem}.json"));
-    let (_, scenario) = meryn_bench::catalog::shipped()
-        .into_iter()
-        .next()
-        .expect("catalog is non-empty");
     scenario.save(&path).expect("write spec");
     path
+}
+
+/// A minimal spec file for the failure-path invocations.
+fn spec_path(stem: &str) -> PathBuf {
+    save_spec(stem, &small_paper())
+}
+
+/// Runs the binary and returns (exit code, stderr).
+fn run(cmd: &mut Command) -> (Option<i32>, String) {
+    let out = cmd.output().expect("spawn scenario bin");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn malformed_specs_exit_2_with_diagnostic() {
+    type Break = fn(&mut Scenario);
+    let cases: [(&str, Break, &str); 5] = [
+        (
+            "empty-axis",
+            |s| s.sweep.axes = vec![SweepAxis::PenaltyFactor { values: vec![] }],
+            "sweep axis with no values",
+        ),
+        (
+            "short-split",
+            |s| {
+                s.sweep.axes = vec![SweepAxis::InitialVms {
+                    values: vec![vec![50]],
+                }]
+            },
+            "InitialVms split must name one count per VC",
+        ),
+        (
+            "explicit-interarrival",
+            |s| {
+                s.workload = WorkloadSpec::Explicit {
+                    submissions: vec![],
+                };
+                s.sweep.axes = vec![SweepAxis::InterarrivalSecs { values: vec![1] }];
+            },
+            "only applies to Paper/Generated workloads",
+        ),
+        ("no-vcs", |s| s.platform.vcs.clear(), "need at least one VC"),
+        (
+            "unknown-policy",
+            |s| {
+                s.sweep.axes = vec![SweepAxis::Policy {
+                    values: vec!["meryn".into(), "no-such-policy".into()],
+                }]
+            },
+            "unknown placement policy \"no-such-policy\"",
+        ),
+    ];
+    for (stem, break_spec, diagnostic) in cases {
+        let mut scenario = small_paper();
+        break_spec(&mut scenario);
+        let (code, stderr) = run(scenario_bin().arg(save_spec(stem, &scenario)));
+        assert_eq!(code, Some(2), "{stem} → exit 2: {stderr}");
+        assert!(
+            stderr.contains(diagnostic),
+            "{stem}: diagnostic names the failure: {stderr}"
+        );
+        assert!(
+            !stderr.contains("panicked"),
+            "{stem}: no panic backtrace: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn unwritable_json_path_exits_2_with_diagnostic() {
+    let (code, stderr) = run(scenario_bin().arg(spec_path("unwritable-json")).args([
+        "--quiet",
+        "--json",
+        "/nonexistent/dir/r.json",
+    ]));
+    assert_eq!(code, Some(2), "unwritable --json → exit 2: {stderr}");
+    assert!(
+        stderr.contains("cannot write scenario report /nonexistent/dir/r.json"),
+        "diagnostic names the failure: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "no panic backtrace: {stderr}");
 }
 
 #[test]
@@ -100,17 +194,11 @@ fn write_checkpoint(spec: &Path, stem: &str) -> PathBuf {
 
 /// Resumes `spec` from `cp` and returns (exit code, stderr).
 fn resume(spec: &Path, cp: &Path) -> (Option<i32>, String) {
-    let out = scenario_bin()
+    run(scenario_bin()
         .arg(spec)
         .arg("--resume")
         .arg(cp)
-        .arg("--quiet")
-        .output()
-        .expect("spawn scenario bin");
-    (
-        out.status.code(),
-        String::from_utf8_lossy(&out.stderr).into_owned(),
-    )
+        .arg("--quiet"))
 }
 
 #[test]

@@ -368,50 +368,73 @@ impl PlatformConfig {
     }
 
     /// Validates internal consistency; called by the platform at start.
+    ///
+    /// # Panics
+    /// With [`Self::check`]'s message when the config is inconsistent.
     pub fn validate(&self) {
-        assert!(!self.vcs.is_empty(), "need at least one VC");
-        assert!(
-            crate::policy::placement(&self.policy).is_some(),
-            "unknown placement policy {:?} (registered: {:?})",
-            self.policy,
-            crate::policy::placement_names()
-        );
-        assert!(
-            crate::policy::bidding(&self.bidding).is_some(),
-            "unknown bidding policy {:?} (registered: {:?})",
-            self.bidding,
-            crate::policy::bidding_names()
-        );
-        assert!(self.penalty_factor > 0, "penalty factor N must be positive");
-        assert!(
-            self.quote_speed > 0.0 && self.quote_speed <= 1.0,
-            "quote speed must be in (0, 1]"
-        );
+        if let Err(e) = self.check() {
+            panic!("{e}");
+        }
+    }
+
+    /// Checks internal consistency without panicking: the first
+    /// inconsistency [`Self::validate`] would reject, as a message.
+    pub fn check(&self) -> Result<(), String> {
+        fn ensure(ok: bool, msg: impl FnOnce() -> String) -> Result<(), String> {
+            if ok {
+                Ok(())
+            } else {
+                Err(msg())
+            }
+        }
+        ensure(!self.vcs.is_empty(), || "need at least one VC".into())?;
+        ensure(crate::policy::placement(&self.policy).is_some(), || {
+            format!(
+                "unknown placement policy {:?} (registered: {:?})",
+                self.policy,
+                crate::policy::placement_names()
+            )
+        })?;
+        ensure(crate::policy::bidding(&self.bidding).is_some(), || {
+            format!(
+                "unknown bidding policy {:?} (registered: {:?})",
+                self.bidding,
+                crate::policy::bidding_names()
+            )
+        })?;
+        ensure(self.penalty_factor > 0, || {
+            "penalty factor N must be positive".into()
+        })?;
+        ensure(self.quote_speed > 0.0 && self.quote_speed <= 1.0, || {
+            "quote speed must be in (0, 1]".into()
+        })?;
         let initial: u64 = self.vcs.iter().map(|v| v.initial_vms).sum();
-        assert!(
-            initial <= self.private_capacity,
-            "initial VC allocation ({initial}) exceeds private capacity ({})",
-            self.private_capacity
-        );
-        assert!(
+        ensure(initial <= self.private_capacity, || {
+            format!(
+                "initial VC allocation ({initial}) exceeds private capacity ({})",
+                self.private_capacity
+            )
+        })?;
+        ensure(
             (0.0..=1.0).contains(&self.faults.lease_rejection_prob),
-            "lease_rejection_prob must be a probability"
-        );
-        if let Some(mtbf) = self.faults.vm_mtbf_secs {
-            assert!(mtbf > 0, "vm_mtbf_secs must be positive");
-        }
+            || "lease_rejection_prob must be a probability".into(),
+        )?;
+        ensure(self.faults.vm_mtbf_secs != Some(0), || {
+            "vm_mtbf_secs must be positive".into()
+        })?;
         for w in &self.faults.cloud_outages {
-            assert!(
-                w.cloud < self.clouds.len(),
-                "outage window names cloud {} but only {} clouds are configured",
-                w.cloud,
-                self.clouds.len()
-            );
-            assert!(
-                w.from_secs < w.to_secs,
-                "outage window must end after it starts"
-            );
+            ensure(w.cloud < self.clouds.len(), || {
+                format!(
+                    "outage window names cloud {} but only {} clouds are configured",
+                    w.cloud,
+                    self.clouds.len()
+                )
+            })?;
+            ensure(w.from_secs < w.to_secs, || {
+                "outage window must end after it starts".into()
+            })?;
         }
+        Ok(())
     }
 }
 
@@ -480,6 +503,22 @@ mod tests {
     #[should_panic(expected = "unknown placement policy")]
     fn unknown_policy_rejected() {
         PlatformConfig::paper("no-such-policy").validate();
+    }
+
+    #[test]
+    fn check_returns_what_validate_would_panic_with() {
+        assert_eq!(PlatformConfig::paper("meryn").check(), Ok(()));
+        let mut cfg = PlatformConfig::paper("meryn");
+        cfg.vcs.clear();
+        assert_eq!(cfg.check(), Err("need at least one VC".to_owned()));
+        let err = PlatformConfig::paper("no-such-policy").check().unwrap_err();
+        assert!(
+            err.starts_with("unknown placement policy \"no-such-policy\""),
+            "{err}"
+        );
+        let mut cfg = PlatformConfig::paper("meryn");
+        cfg.faults.vm_mtbf_secs = Some(0);
+        assert_eq!(cfg.check(), Err("vm_mtbf_secs must be positive".to_owned()));
     }
 
     #[test]

@@ -151,7 +151,8 @@ impl BenchReport {
 /// materialization is excluded.
 ///
 /// # Errors
-/// Only workload materialization can fail (an unreadable `TraceFile`).
+/// As [`crate::runner::run_scenario`]: a spec [`Scenario::check`]
+/// rejects, or an unreadable `TraceFile`.
 #[allow(clippy::disallowed_methods)] // benchmark harness: wall clock is the measurement
 pub fn bench_scenario(scenario: &Scenario) -> io::Result<BenchReport> {
     crate::policies::install();
@@ -161,7 +162,7 @@ pub fn bench_scenario(scenario: &Scenario) -> io::Result<BenchReport> {
     let mut variants_out = Vec::new();
     let mut total_events = 0u64;
     let mut total_wall = 0.0f64;
-    for variant in expand_variants(scenario) {
+    for variant in expand_variants(scenario)? {
         // Aggregate `Generated` scenarios stream their arrivals in
         // production (`run_scenario` does the same), so the bench
         // streams too — generation is then part of the timed run, and
@@ -231,11 +232,14 @@ pub fn bench_scenario(scenario: &Scenario) -> io::Result<BenchReport> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::catalog;
 
     #[test]
     fn bench_counts_events_for_every_variant() {
-        let mut s = catalog::paper();
+        let mut s = Scenario::load(concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../scenarios/paper.json"
+        ))
+        .expect("the shipped paper spec loads");
         s.sweep.replicas = 0;
         s.outputs.table1_samples = None;
         let b = bench_scenario(&s).unwrap();

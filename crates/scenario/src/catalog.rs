@@ -1,504 +1,66 @@
-//! The shipped scenario catalog.
+//! Scenarios that are not shipped as files.
 //!
-//! Every checked-in `scenarios/*.json` file is the exact
-//! [`Scenario::to_json`] bytes of one constructor here —
-//! `tests/scenario_roundtrip.rs` byte-compares them, so the files, the
-//! experiment binaries and this catalog can never drift apart.
+//! Every shipped spec is a `scenarios/*.json` file, edited by hand and
+//! loaded with [`Scenario::load`]; the files are the only definition.
+//! This catalog holds the one entry too big to check in: the full
+//! [`hyperscale`] run (259 kB of JSON once its 1024 VCs and targets
+//! are spelled out), derived from its shipped CI scaling.
 
-use meryn_core::config::{FaultSpec, OutageWindow, PlatformConfig, VcConfig, ViolationPolicy};
-use meryn_frameworks::{FrameworkKind, ScalingLaw};
+use meryn_core::config::VcConfig;
 use meryn_sim::SimDuration;
-use meryn_sla::negotiation::UserStrategy;
-use meryn_sla::VmRate;
-use meryn_vmm::{LatencyModel, PriceModel};
-use meryn_workloads::generators::{ArrivalProcess, GeneratorConfig, WorkDistribution};
-use meryn_workloads::{PaperWorkloadParams, VcTarget};
+use meryn_workloads::VcTarget;
 
-use crate::spec::{OutputSpec, Scenario, SweepAxis, SweepSpec, WorkloadSpec};
-
-/// The paper's full evaluation: the 65-app workload under `meryn` and
-/// `static`, the Figure 6 comparison, and the Table 1 placement
-/// micro-scenarios — the repository's golden numbers (peak cloud VMs
-/// 15 vs 25, cost saved 35800 u) come out of this spec.
-pub fn paper() -> Scenario {
-    Scenario {
-        name: "paper".into(),
-        description: "The paper's evaluation (§5): 65 batch apps, 5 s apart, 50/15 across \
-                      two 25-VM VCs, meryn vs static — reproduces Fig 5/6 and Table 1."
-            .into(),
-        platform: PlatformConfig::paper("meryn"),
-        workload: WorkloadSpec::Paper(PaperWorkloadParams::default()),
-        sweep: SweepSpec {
-            replicas: 30,
-            axes: vec![SweepAxis::Policy {
-                values: vec!["meryn".into(), "static".into()],
-            }],
-            ..Default::default()
-        },
-        outputs: OutputSpec {
-            summary: true,
-            placements: true,
-            series: false,
-            comparison: true,
-            table1_samples: Some(100),
-            aggregate: false,
-        },
-    }
-}
-
-/// Arrival pressure sweep: the paper workload compressed to 5/2/1 s
-/// inter-arrivals under both policies — where the exchange protocol's
-/// advantage over static bursting widens.
-pub fn high_load() -> Scenario {
-    Scenario {
-        name: "high-load".into(),
-        description: "Inter-arrival sweep (5/2/1 s) of the paper workload under meryn and \
-                      static: the cost gap is the cloud spend avoided by VC exchange."
-            .into(),
-        platform: PlatformConfig::paper("meryn"),
-        workload: WorkloadSpec::Paper(PaperWorkloadParams::default()),
-        sweep: SweepSpec {
-            replicas: 3,
-            axes: vec![
-                SweepAxis::Policy {
-                    values: vec!["meryn".into(), "static".into()],
-                },
-                SweepAxis::InterarrivalSecs {
-                    values: vec![5, 2, 1],
-                },
-            ],
-            ..Default::default()
-        },
-        outputs: OutputSpec {
-            placements: true,
-            ..Default::default()
-        },
-    }
-}
-
-/// Cloud price sensitivity: scales the cloud market to 0.5×/1×/2× the
-/// paper's rate under every built-in policy worth comparing, including
-/// `cost-greedy`, which starts preferring the cloud once it undercuts
-/// the private cost rate.
-pub fn cheap_cloud() -> Scenario {
-    Scenario {
-        name: "cheap-cloud".into(),
-        description: "Cloud price factor sweep (0.5/1/2x) under meryn, static and \
-                      cost-greedy: at 0.5x the cloud (2 u/VMs) matches the private cost \
-                      rate and cost-greedy bursts everything."
-            .into(),
-        platform: PlatformConfig::paper("meryn"),
-        workload: WorkloadSpec::Paper(PaperWorkloadParams::default()),
-        sweep: SweepSpec {
-            replicas: 3,
-            axes: vec![
-                SweepAxis::CloudPriceFactor {
-                    values: vec![0.5, 1.0, 2.0],
-                },
-                SweepAxis::Policy {
-                    values: vec!["meryn".into(), "static".into(), "cost-greedy".into()],
-                },
-            ],
-            ..Default::default()
-        },
-        outputs: OutputSpec::default(),
-    }
-}
-
-/// Ablation A3's hard switch as a scenario: the paper workload with
-/// suspension bids enabled vs disabled (penalty factor 4 makes
-/// suspensions competitive enough to matter).
-pub fn no_suspension() -> Scenario {
-    let mut platform = PlatformConfig::paper("meryn");
-    platform.penalty_factor = 4;
-    Scenario {
-        name: "no-suspension".into(),
-        description: "Suspension on/off at penalty factor N=4 (where Algorithm 2 bids are \
-                      competitive): disabling suspension pushes the overflow back to the \
-                      cloud."
-            .into(),
-        platform,
-        workload: WorkloadSpec::Paper(PaperWorkloadParams::default()),
-        sweep: SweepSpec {
-            replicas: 3,
-            axes: vec![SweepAxis::SuspensionEnabled {
-                values: vec![true, false],
-            }],
-            ..Default::default()
-        },
-        outputs: OutputSpec {
-            placements: true,
-            ..Default::default()
-        },
-    }
-}
-
-/// The long-horizon "representative data-center" experiment the paper
-/// leaves as future work: ~100k generated submissions over a simulated
-/// month, diurnal arrivals and cloud pricing, three VCs (two batch, one
-/// MapReduce) on a 40-slot private estate — sized so day peaks overflow
-/// into the cloud. This is also the engine-throughput benchmark target
-/// (`scenario --bench`, `BENCH_4.json`).
-pub fn representative_datacenter() -> Scenario {
-    let mut platform = PlatformConfig::paper("meryn");
-    platform.private_capacity = 40;
-    platform.vcs = vec![
-        VcConfig::batch("batch-a", 18),
-        VcConfig::batch("batch-b", 12),
-        VcConfig::mapreduce("mapred", 10),
-    ];
-    platform.clouds[0].price = PriceModel::Diurnal {
-        base: VmRate::per_vm_second(4),
-        amplitude_pct: 25,
-        period: SimDuration::from_secs(86_400),
-    };
-    // Long jobs (up to 4 h): a 5-minute SLA check cadence is realistic
-    // and keeps the controller from dominating the event stream.
-    platform.controller_check_interval = Some(SimDuration::from_secs(300));
-    Scenario {
-        name: "representative-datacenter".into(),
-        description: "A representative data-center month: 100k Poisson-diurnal submissions \
-                      (heavy-tailed runtimes, 3:1 batch:MapReduce) on a 40-VM private estate \
-                      with a diurnally-priced cloud, meryn vs static — the engine-throughput \
-                      benchmark scenario."
-            .into(),
-        platform,
-        workload: WorkloadSpec::Generated {
-            config: GeneratorConfig {
-                count: 100_000,
-                arrivals: ArrivalProcess::Diurnal {
-                    mean: SimDuration::from_secs(26),
-                    depth: 0.8,
-                    period: SimDuration::from_secs(86_400),
-                },
-                work: WorkDistribution::BoundedPareto {
-                    lo: SimDuration::from_secs(120),
-                    hi: SimDuration::from_secs(14_400),
-                    alpha: 1.3,
-                },
-                nb_vms_choices: vec![1, 1, 1, 2, 4],
-                targets: vec![
-                    (VcTarget::Index(0), 3),
-                    (VcTarget::Index(1), 2),
-                    (VcTarget::Kind(FrameworkKind::MapReduce), 1),
-                ],
-                strategy: UserStrategy::AcceptCheapest,
-                scaling: ScalingLaw::Linear,
-            },
-            seed: 0xDC,
-        },
-        sweep: SweepSpec {
-            replicas: 0,
-            axes: vec![SweepAxis::Policy {
-                values: vec!["meryn".into(), "static".into()],
-            }],
-            ..Default::default()
-        },
-        outputs: OutputSpec {
-            summary: true,
-            placements: true,
-            series: false,
-            comparison: true,
-            table1_samples: None,
-            aggregate: false,
-        },
-    }
-}
-
-/// The shard-parallelism showcase: sixteen batch VCs, each large
-/// enough that one arrival cohort exactly fills it, with every latency
-/// that feeds the choreography held *fixed*. Cohorts of 1024
-/// submissions land at one instant (negotiation sizes each job at two
-/// VMs, so a cohort occupies all 2048 slots), so their Cluster-Manager
-/// handoffs, dispatches, completions and (interval-aligned)
-/// Application Controller checks all share instants too — every such
-/// instant is a ~1k-event batch spread evenly across all sixteen
-/// shards, which is exactly the shape the parallel executor pays off
-/// on. This is the CI thread-speedup gate's scenario: its report must
-/// be byte-identical at any `RAYON_NUM_THREADS`, and the threaded run
-/// must not be slower.
-pub fn many_vc() -> Scenario {
-    let mut platform = PlatformConfig::paper("meryn");
-    platform.private_capacity = 2048;
-    platform.vcs = (0..16)
-        .map(|i| VcConfig::batch(format!("vc-{i:02}"), 128))
-        .collect();
-    // A fixed handling latency keeps a cohort's submits on one shared
-    // instant (the paper's uniform 7–15 s draw would fan one cohort
-    // out over thousands of distinct instants and serialize the run).
-    platform.latencies.base = LatencyModel::Fixed(SimDuration::from_secs(10));
-    Scenario {
-        name: "many-vc".into(),
-        description: "Shard-parallelism showcase: 16 batch VCs of 128 VMs, 1024-submission \
-                      cohorts with fixed latencies and work — aligned controller ticks make \
-                      ~1k-event cross-shard batches (the CI thread-speedup gate scenario)."
-            .into(),
-        platform,
-        workload: WorkloadSpec::Generated {
-            config: GeneratorConfig {
-                count: 8192,
-                arrivals: ArrivalProcess::Bursty {
-                    burst_len: 1024,
-                    fast: SimDuration::ZERO,
-                    idle: SimDuration::from_secs(2400),
-                },
-                work: WorkDistribution::Fixed(SimDuration::from_secs(1800)),
-                nb_vms_choices: vec![1],
-                targets: (0..16).map(|i| (VcTarget::Index(i), 1)).collect(),
-                strategy: UserStrategy::AcceptCheapest,
-                scaling: ScalingLaw::Linear,
-            },
-            seed: 0x16C5,
-        },
-        sweep: SweepSpec {
-            replicas: 0,
-            axes: Vec::new(),
-            ..Default::default()
-        },
-        outputs: OutputSpec {
-            summary: true,
-            placements: false,
-            series: false,
-            comparison: false,
-            table1_samples: None,
-            aggregate: false,
-        },
-    }
-}
+use crate::spec::{Scenario, WorkloadSpec};
 
 /// The hyperscale survival run: 1024 single-VM batch VCs and ten
 /// million Poisson-diurnal submissions over a simulated quarter
-/// (~89 days at a 770 ms mean gap). Runs in aggregate report mode —
-/// applications retire into per-VC running totals the moment they
-/// complete, ledger entries are dropped at charge time and arrivals
-/// stream straight from the seeded generator — so resident memory is
-/// O(live applications), not O(10M history). Too big to ship as a
-/// checked-in spec + golden pair; reach it through
-/// `scenario --catalog hyperscale` (the [`hyperscale_ci`] scaling is
-/// the checked-in, golden-pinned CI gate).
+/// (~89 days at a 770 ms mean gap). It is `scenarios/hyperscale-ci.json`
+/// scaled up 16×: the same per-VC load, aggregate report mode and
+/// streamed arrivals, so resident memory stays O(live applications),
+/// not O(10M history). Reach it through `scenario --catalog hyperscale`.
 pub fn hyperscale() -> Scenario {
-    Scenario {
-        name: "hyperscale".into(),
-        description: "Hyperscale survival: 1024 single-VM VCs, 10M Poisson-diurnal \
-                      submissions over a simulated quarter in aggregate report mode — \
-                      memory stays O(live); the engine-scale stress scenario."
-            .into(),
-        platform: hyperscale_platform(1024),
-        workload: WorkloadSpec::Generated {
-            config: hyperscale_workload(10_000_000, 1024, SimDuration::from_millis(770)),
-            seed: 0x5CA1E,
-        },
-        sweep: SweepSpec {
-            replicas: 0,
-            axes: Vec::new(),
-            ..Default::default()
-        },
-        outputs: OutputSpec {
-            summary: true,
-            placements: true,
-            series: false,
-            comparison: false,
-            table1_samples: None,
-            aggregate: true,
-        },
-    }
-}
-
-/// [`hyperscale`] scaled 1:16 for the CI gate: 64 VCs, 200k
-/// submissions, the same per-VC load (the 770 ms mean gap stretched
-/// ×16). Checked in with a golden; CI additionally runs it under
-/// `scenario --bench` against an events/sec floor and a peak-RSS
-/// ceiling, and byte-compares a mid-run checkpoint + resume against
-/// the uninterrupted report.
-pub fn hyperscale_ci() -> Scenario {
-    Scenario {
-        name: "hyperscale-ci".into(),
-        description: "Hyperscale scaled 1:16 for CI: 64 single-VM VCs, 200k diurnal \
-                      submissions at the same per-VC load, aggregate report mode — the \
-                      events/sec + peak-RSS gate and the checkpoint/resume byte-compare \
-                      scenario."
-            .into(),
-        platform: hyperscale_platform(64),
-        workload: WorkloadSpec::Generated {
-            config: hyperscale_workload(200_000, 64, SimDuration::from_millis(770 * 16)),
-            seed: 0x5CA1E,
-        },
-        sweep: SweepSpec {
-            replicas: 0,
-            axes: Vec::new(),
-            ..Default::default()
-        },
-        outputs: OutputSpec {
-            summary: true,
-            placements: true,
-            series: false,
-            comparison: false,
-            table1_samples: None,
-            aggregate: true,
-        },
-    }
-}
-
-/// The shared hyperscale deployment: `vcs` single-VM batch VCs on an
-/// exactly-covering private estate, with the SLA-check cadence relaxed
-/// to 10 minutes so controller ticks don't dominate the quarter-long
-/// event stream.
-fn hyperscale_platform(vcs: usize) -> PlatformConfig {
-    let mut platform = PlatformConfig::paper("meryn");
-    platform.private_capacity = vcs as u64;
-    platform.vcs = (0..vcs)
+    const VCS: usize = 1024;
+    let mut s = Scenario::from_json(include_str!("../../../scenarios/hyperscale-ci.json"))
+        .expect("the shipped hyperscale-ci spec parses");
+    s.name = "hyperscale".into();
+    s.description = "Hyperscale survival: 1024 single-VM VCs, 10M Poisson-diurnal \
+                     submissions over a simulated quarter in aggregate report mode — \
+                     memory stays O(live); the engine-scale stress scenario."
+        .into();
+    s.platform.private_capacity = VCS as u64;
+    s.platform.vcs = (0..VCS)
         .map(|i| VcConfig::batch(format!("vc-{i:04}"), 1))
         .collect();
-    platform.controller_check_interval = Some(SimDuration::from_secs(600));
-    platform
-}
-
-/// The shared hyperscale workload shape: Poisson-diurnal arrivals
-/// spread uniformly over the VCs, heavy-tailed 1–60 min runtimes
-/// (mean ≈ 200 s → ~25% mean utilization, day peaks near 50%).
-fn hyperscale_workload(count: usize, vcs: usize, mean_gap: SimDuration) -> GeneratorConfig {
-    GeneratorConfig {
-        count,
-        arrivals: ArrivalProcess::Diurnal {
-            mean: mean_gap,
-            depth: 0.8,
-            period: SimDuration::from_secs(86_400),
-        },
-        work: WorkDistribution::BoundedPareto {
-            lo: SimDuration::from_secs(60),
-            hi: SimDuration::from_secs(3_600),
-            alpha: 1.3,
-        },
-        nb_vms_choices: vec![1],
-        targets: (0..vcs).map(|i| (VcTarget::Index(i), 1)).collect(),
-        strategy: UserStrategy::AcceptCheapest,
-        scaling: ScalingLaw::Linear,
-    }
-}
-
-/// The fault-plane showcase: the paper workload under an aggressive —
-/// but fully deterministic — failure regime. Every VM carries a 2 h
-/// exponential crash hazard (drawn from the per-shard fault streams),
-/// a third of cloud-lease admissions are transiently refused, and the
-/// cloud market schedules a 10-minute whole-cloud outage right where
-/// the paper run's escalations cluster. Refused acquisitions retry on
-/// the deterministic capped backoff (30 s base, 240 s cap, budget 4)
-/// before degrading to the private pool. Comparing meryn against
-/// static under the *same* fault schedule shows the exchange
-/// protocol's slack absorbing faults the static split pays the cloud
-/// (or the SLA penalty) for.
-pub fn chaos_datacenter() -> Scenario {
-    let mut platform = PlatformConfig::paper("meryn");
-    // Refused leases only retry on the escalation path; the paper's
-    // report-only violation handling would leave the backoff machinery
-    // idle.
-    platform.violation_policy = ViolationPolicy::EscalateToCloud;
-    platform.faults = FaultSpec {
-        vm_mtbf_secs: Some(7_200),
-        lease_rejection_prob: 0.3,
-        lease_rejection_secs: 120,
-        cloud_outages: vec![OutageWindow {
-            cloud: 0,
-            from_secs: 600,
-            to_secs: 1_200,
-        }],
-        retry_max: 4,
-        backoff_base_secs: 30,
-        backoff_cap_secs: 240,
+    let WorkloadSpec::Generated { config, .. } = &mut s.workload else {
+        unreachable!("hyperscale-ci.json streams a Generated workload");
     };
-    Scenario {
-        name: "chaos-datacenter".into(),
-        description: "The paper evaluation under a deterministic failure regime: 2 h per-VM \
-                      crash MTBF, 30% transient lease rejections with capped-backoff retries \
-                      (30 s base, budget 4), and a 600-1200 s whole-cloud outage — meryn vs \
-                      static on the identical fault schedule."
-            .into(),
-        platform,
-        workload: WorkloadSpec::Paper(PaperWorkloadParams::default()),
-        sweep: SweepSpec {
-            replicas: 3,
-            axes: vec![SweepAxis::Policy {
-                values: vec!["meryn".into(), "static".into()],
-            }],
-            ..Default::default()
-        },
-        outputs: OutputSpec {
-            summary: true,
-            placements: true,
-            series: false,
-            comparison: true,
-            table1_samples: None,
-            aggregate: false,
-        },
-    }
-}
-
-/// The cross-crate extension policy at work: `deadline-aware` (defined
-/// and registered in [`crate::policies`], *not* in `meryn-core`)
-/// against the two paper policies on a pressured estate. Suspensions
-/// under `deadline-aware` are zero by construction; the cost of that
-/// guarantee shows up as extra cloud spend.
-pub fn deadline_aware() -> Scenario {
-    crate::policies::install();
-    let mut platform = PlatformConfig::paper("deadline-aware");
-    // Penalty factor 4 makes meryn's suspension bids competitive, so
-    // the never-suspend contrast is visible in the placements.
-    platform.penalty_factor = 4;
-    Scenario {
-        name: "deadline-aware".into(),
-        description: "The deadline-aware extension policy (registered from meryn-scenario, \
-                      outside meryn-core) vs meryn and static at penalty factor N=4: \
-                      free VMs or cloud only — running tenants keep their deadlines."
-            .into(),
-        platform,
-        workload: WorkloadSpec::Paper(PaperWorkloadParams::default()),
-        sweep: SweepSpec {
-            replicas: 3,
-            axes: vec![SweepAxis::Policy {
-                values: vec!["deadline-aware".into(), "meryn".into(), "static".into()],
-            }],
-            ..Default::default()
-        },
-        outputs: OutputSpec {
-            placements: true,
-            comparison: true,
-            ..Default::default()
-        },
-    }
-}
-
-/// Every shipped scenario, as `(file stem, spec)` pairs.
-pub fn shipped() -> Vec<(&'static str, Scenario)> {
-    crate::policies::install();
-    vec![
-        ("paper", paper()),
-        ("high-load", high_load()),
-        ("cheap-cloud", cheap_cloud()),
-        ("no-suspension", no_suspension()),
-        ("representative-datacenter", representative_datacenter()),
-        ("many-vc", many_vc()),
-        ("deadline-aware", deadline_aware()),
-        ("hyperscale-ci", hyperscale_ci()),
-        ("chaos-datacenter", chaos_datacenter()),
-    ]
-}
-
-/// Every catalog scenario — the shipped set plus the unshipped full
-/// [`hyperscale`] run (too big for a checked-in golden) — for
-/// `scenario --catalog NAME` lookup.
-pub fn all() -> Vec<(&'static str, Scenario)> {
-    let mut entries = shipped();
-    entries.push(("hyperscale", hyperscale()));
-    entries
+    config.count = 10_000_000;
+    config.arrivals = config.arrivals.with_mean_gap(SimDuration::from_millis(770));
+    config.targets = (0..VCS).map(|i| (VcTarget::Index(i), 1)).collect();
+    s
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Every spec the crate ships — the `scenarios/*.json` files and
+    /// [`hyperscale`] — survives serialize → deserialize as the same
+    /// value, and re-serializes to the same bytes.
     #[test]
     fn shipped_specs_round_trip() {
-        for (stem, scenario) in shipped() {
+        let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scenarios");
+        let mut shipped = vec![("hyperscale".to_owned(), hyperscale())];
+        for entry in std::fs::read_dir(dir).expect("scenarios/ exists") {
+            let path = entry.expect("readable entry").path();
+            if path.extension().and_then(|e| e.to_str()) == Some("json") {
+                let stem = path.file_stem().unwrap().to_str().unwrap().to_owned();
+                let spec = Scenario::load(&path).unwrap_or_else(|e| panic!("{stem}: {e}"));
+                shipped.push((stem, spec));
+            }
+        }
+        assert!(shipped.len() > 1, "no spec files found under {dir}");
+        for (stem, scenario) in shipped {
             let json = scenario.to_json();
             let back = Scenario::from_json(&json).unwrap_or_else(|e| panic!("{stem}: {e}"));
             assert_eq!(back, scenario, "{stem}");
@@ -507,10 +69,10 @@ mod tests {
     }
 
     #[test]
-    fn shipped_names_match_file_stems() {
-        for (stem, scenario) in shipped() {
-            assert_eq!(scenario.name, stem);
-            scenario.platform.validate();
-        }
+    fn hyperscale_scales_the_ci_spec_and_passes_the_check() {
+        let s = hyperscale();
+        assert_eq!(s.platform.vcs.len(), 1024);
+        assert!(s.outputs.aggregate, "10M submissions need O(live) memory");
+        s.check().unwrap();
     }
 }

@@ -154,6 +154,7 @@ mod tests {
             let (lo, hi) = paper_range(case).expect("every Table 1 case has a range");
             assert!(lo < hi);
         }
+        assert_eq!(paper_range("local-vm"), Some((7.0, 15.0)));
     }
 
     #[test]

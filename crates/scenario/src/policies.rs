@@ -10,8 +10,9 @@
 //!
 //! Registration is idempotent and happens automatically on every
 //! scenario entry point ([`crate::run_scenario`],
-//! [`crate::bench_scenario`], [`crate::catalog`]), so a spec naming an
-//! extension policy validates no matter which path loads it.
+//! [`crate::bench_scenario`], [`crate::Scenario::check`], the
+//! single-run checkpoint paths), so a spec naming an extension policy
+//! validates no matter which path runs it.
 
 use std::sync::{Arc, Once};
 

@@ -17,7 +17,7 @@ use meryn_core::config::PlatformConfig;
 use meryn_core::report::{compare, ReportMode, RunReport};
 use meryn_core::{EngineCheckpoint, Platform, VcId};
 use meryn_sim::metrics::SeriesSet;
-use meryn_sim::SimRng;
+use meryn_sim::{SimDuration, SimRng};
 use meryn_workloads::generators::{GeneratedChunks, GeneratorConfig, DEFAULT_CHUNK};
 use meryn_workloads::Submission;
 use serde::Serialize;
@@ -36,15 +36,17 @@ pub(crate) struct Variant {
 }
 
 /// Expands the scenario's axes into the variant list (cartesian
-/// product, first axis outermost).
-pub(crate) fn expand_variants(scenario: &Scenario) -> Vec<Variant> {
+/// product, first axis outermost), rejecting what
+/// [`Scenario::check`] rejects.
+pub(crate) fn expand_variants(scenario: &Scenario) -> io::Result<Vec<Variant>> {
+    let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidInput, msg);
     let mut variants = vec![Variant {
         label: String::new(),
         cfg: scenario.platform.clone(),
         modifier: WorkloadModifier::default(),
     }];
     for axis in &scenario.sweep.axes {
-        assert!(!axis.is_empty(), "sweep axis with no values");
+        axis.check(&scenario.platform).map_err(invalid)?;
         let mut next = Vec::with_capacity(variants.len() * axis.len());
         for variant in &variants {
             for idx in 0..axis.len() {
@@ -69,8 +71,28 @@ pub(crate) fn expand_variants(scenario: &Scenario) -> Vec<Variant> {
         if v.label.is_empty() {
             v.label = "base".to_owned();
         }
+        v.cfg
+            .check()
+            .map_err(|e| invalid(format!("variant {}: {e}", v.label)))?;
+        scenario.workload.check_modifier(&v.modifier)?;
     }
-    variants
+    Ok(variants)
+}
+
+impl Scenario {
+    /// Checks the spec the way [`run_scenario`] does before any job
+    /// runs, without running anything.
+    ///
+    /// # Errors
+    /// `InvalidInput` with the first problem found: an axis
+    /// [`crate::spec::SweepAxis::check`] rejects, a variant whose
+    /// platform config fails [`PlatformConfig::check`], or an
+    /// `InterarrivalSecs` axis over an `Explicit` or `TraceFile`
+    /// workload, whose arrival instants are given.
+    pub fn check(&self) -> io::Result<()> {
+        crate::policies::install();
+        expand_variants(self).map(drop)
+    }
 }
 
 /// Headline metrics of one run (the base-seed run of a variant).
@@ -272,12 +294,12 @@ pub struct ScenarioReport {
 /// out through the parallel harness, aggregates in job order.
 ///
 /// # Errors
-/// Only workload materialization can fail (an unreadable
-/// `TraceFile`); everything else panics on spec inconsistencies, like
-/// the platform itself does on an invalid config.
+/// `InvalidInput` for a spec [`Scenario::check`] rejects, found before
+/// any job runs; otherwise only workload materialization can fail (an
+/// unreadable `TraceFile`).
 pub fn run_scenario(scenario: &Scenario) -> io::Result<ScenarioReport> {
     crate::policies::install();
-    let variants = expand_variants(scenario);
+    let variants = expand_variants(scenario)?;
     let base_seed = scenario.sweep.base_seed;
     let replicas = scenario.sweep.replicas;
     let outputs = &scenario.outputs;
@@ -441,9 +463,12 @@ pub fn run_scenario(scenario: &Scenario) -> io::Result<ScenarioReport> {
 /// exactly as [`run_scenario`] would. Drive it with
 /// [`Platform::run_until`] + [`Platform::checkpoint`], or straight to
 /// completion for the uninterrupted comparator.
+///
+/// # Errors
+/// As [`run_scenario`], before the platform is built.
 pub fn single_run_start(scenario: &Scenario) -> io::Result<Platform> {
     crate::policies::install();
-    let variant = expand_variants(scenario)
+    let variant = expand_variants(scenario)?
         .into_iter()
         .next()
         .expect("a scenario always expands to at least one variant");
@@ -480,12 +505,17 @@ pub fn single_run_start(scenario: &Scenario) -> io::Result<Platform> {
 /// remaining arrivals in the shard queues and need nothing else.
 /// Resuming and running to completion is byte-identical to the
 /// uninterrupted run.
+///
+/// # Panics
+/// On a spec [`Scenario::check`] rejects, or a streaming checkpoint
+/// paired with a workload that is not `Generated`.
 pub fn single_run_resume(scenario: &Scenario, cp: EngineCheckpoint) -> Platform {
     crate::policies::install();
     if !cp.needs_workload() {
         return Platform::from_checkpoint(cp);
     }
     let variant = expand_variants(scenario)
+        .unwrap_or_else(|e| panic!("invalid scenario: {e}"))
         .into_iter()
         .next()
         .expect("a scenario always expands to at least one variant");
@@ -506,7 +536,11 @@ impl ScenarioReport {
         json
     }
 
-    /// Renders the human-readable tables the experiment binaries print.
+    /// Renders the report for people: one block per section the
+    /// report carries (summary tables, replica spread, comparison,
+    /// Table 1, placements, used-VM series), so what gets printed
+    /// follows from the spec's `outputs` alone. Every number shown is
+    /// also in [`Self::to_json`].
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::new();
@@ -525,8 +559,10 @@ impl ScenarioReport {
             .max()
             .unwrap_or(4)
             .max(4);
-        // The summary table only appears when the scenario asked for it
-        // (`outputs.summary`; the runner then populated `base`).
+        // The summary tables only appear when the scenario asked for
+        // them (`outputs.summary`; the runner then populated `base`).
+        // Two tables, so neither outgrows a terminal: outcomes with the
+        // replica spread, then money and front-door timing.
         if self.variants.iter().any(|v| v.base.is_some()) {
             let _ = writeln!(
                 out,
@@ -541,36 +577,62 @@ impl ScenarioReport {
                 "violate",
                 "rejct"
             );
-        }
-        for v in &self.variants {
-            if let Some(base) = &v.base {
-                let _ = writeln!(
-                    out,
-                    "{:<label_w$} {:>12.0} {:>12.0} {:>10.0} {:>9} {:>7} {:>9} {:>8} {:>6}",
-                    v.label,
-                    base.completion_secs,
-                    base.total_cost_units,
-                    base.peak_cloud_vms,
-                    base.transfers,
-                    base.bursts,
-                    base.suspensions,
-                    base.violations,
-                    base.rejected
-                );
-            }
-            if let Some(stats) = &v.replicas {
-                if stats.completion.count() > 1 {
+            for v in &self.variants {
+                if let Some(base) = &v.base {
                     let _ = writeln!(
                         out,
-                        "{:<label_w$} {:>7.1} ±{:<4.1} {:>7.0} ±{:<4.0} {:>5.1}±{:<3.1} (n={})",
-                        "  replicas",
-                        stats.completion.mean(),
-                        stats.completion.std_dev(),
-                        stats.cost.mean(),
-                        stats.cost.std_dev(),
-                        stats.peak_cloud.mean(),
-                        stats.peak_cloud.std_dev(),
-                        stats.completion.count()
+                        "{:<label_w$} {:>12.0} {:>12.0} {:>10.0} {:>9} {:>7} {:>9} {:>8} {:>6}",
+                        v.label,
+                        base.completion_secs,
+                        base.total_cost_units,
+                        base.peak_cloud_vms,
+                        base.transfers,
+                        base.bursts,
+                        base.suspensions,
+                        base.violations,
+                        base.rejected
+                    );
+                }
+                if let Some(stats) = &v.replicas {
+                    if stats.completion.count() > 1 {
+                        let _ = writeln!(
+                            out,
+                            "{:<label_w$} {:>7.1} ±{:<4.1} {:>7.0} ±{:<4.0} {:>5.1}±{:<3.1} (n={})",
+                            "  replicas",
+                            stats.completion.mean(),
+                            stats.completion.std_dev(),
+                            stats.cost.mean(),
+                            stats.cost.std_dev(),
+                            stats.peak_cloud.mean(),
+                            stats.peak_cloud.std_dev(),
+                            stats.completion.count()
+                        );
+                    }
+                }
+            }
+            let _ = writeln!(
+                out,
+                "\n{:<label_w$} {:>8} {:>12} {:>13} {:>8} {:>13} {:>12}",
+                "variant",
+                "peak prv",
+                "profit [u]",
+                "penalties [u]",
+                "escalate",
+                "proc mean [s]",
+                "proc max [s]"
+            );
+            for v in &self.variants {
+                if let Some(base) = &v.base {
+                    let _ = writeln!(
+                        out,
+                        "{:<label_w$} {:>8.0} {:>12.0} {:>13.0} {:>8} {:>13.1} {:>12.0}",
+                        v.label,
+                        base.peak_private_vms,
+                        base.profit_units,
+                        base.penalties_units,
+                        base.escalations,
+                        base.processing_mean_s,
+                        base.processing_max_s
                     );
                 }
             }
@@ -597,6 +659,43 @@ impl ScenarioReport {
                 "  peak cloud VMs         : {:.0} vs {:.0}",
                 cmp.peak_cloud_a, cmp.peak_cloud_b
             );
+            // The Fig 6(a)/(b) bars: per-app averages of the two
+            // compared runs, over all apps and per VC.
+            let base = |i: usize| self.variants.get(i).and_then(|v| v.base.as_ref());
+            if let (Some(a), Some(b)) = (base(0), base(1)) {
+                let _ = writeln!(
+                    out,
+                    "  revenue                : {:.0} vs {:.0} u",
+                    a.revenue_units, b.revenue_units
+                );
+                let _ = writeln!(
+                    out,
+                    "  {:<16} {:>12} {:>12} {:>12} {:>12}",
+                    "per app", "exec a [s]", "exec b [s]", "cost a [u]", "cost b [u]"
+                );
+                let mut row = |name: &str, exec_a: f64, exec_b: f64, a_units: f64, b_units: f64| {
+                    let _ = writeln!(
+                        out,
+                        "  {name:<16} {exec_a:>12.0} {exec_b:>12.0} {a_units:>12.0} {b_units:>12.0}"
+                    );
+                };
+                row(
+                    "all apps",
+                    a.avg_exec_secs,
+                    b.avg_exec_secs,
+                    a.avg_cost_units,
+                    b.avg_cost_units,
+                );
+                for (ga, gb) in a.groups.iter().zip(&b.groups) {
+                    row(
+                        &ga.vc,
+                        ga.avg_exec_secs,
+                        gb.avg_exec_secs,
+                        ga.avg_cost_units,
+                        gb.avg_cost_units,
+                    );
+                }
+            }
         }
         if let Some(rows) = &self.table1 {
             let _ = writeln!(
@@ -622,6 +721,14 @@ impl ScenarioReport {
                 for (case, count) in placements {
                     let _ = writeln!(out, "  {case:<28} {count}");
                 }
+            }
+        }
+        for v in &self.variants {
+            if let Some(series) = &v.series {
+                let _ = writeln!(out, "\nseries [{}] (60 s grid):", v.label);
+                out.push_str(&series.to_csv(SimDuration::from_secs(60)));
+                let _ = writeln!(out, "\nshape [{}]:", v.label);
+                out.push_str(&series.to_ascii_chart(60, SimDuration::from_secs(120)));
             }
         }
         out
@@ -671,7 +778,7 @@ mod tests {
         s.sweep
             .axes
             .push(SweepAxis::PenaltyFactor { values: vec![1, 4] });
-        let variants = expand_variants(&s);
+        let variants = expand_variants(&s).unwrap();
         let labels: Vec<&str> = variants.iter().map(|v| v.label.as_str()).collect();
         assert_eq!(
             labels,
@@ -688,7 +795,7 @@ mod tests {
     fn no_axes_yields_the_base_variant() {
         let mut s = small_scenario();
         s.sweep.axes.clear();
-        let variants = expand_variants(&s);
+        let variants = expand_variants(&s).unwrap();
         assert_eq!(variants.len(), 1);
         assert_eq!(variants[0].label, "base");
     }
@@ -711,6 +818,35 @@ mod tests {
         let rendered = report.render();
         assert!(rendered.contains("policy=meryn"));
         assert!(rendered.contains("comparison:"));
+    }
+
+    #[test]
+    fn render_prints_every_section_the_report_carries() {
+        let mut s = small_scenario();
+        s.sweep.replicas = 0;
+        s.outputs.series = true;
+        let rendered = run_scenario(&s).unwrap().render();
+        for needle in [
+            "peak prv",
+            "profit [u]",
+            "proc max [s]",
+            "revenue",
+            "all apps",
+            "VC2",
+            "placements [policy=static]:",
+            "series [policy=meryn] (60 s grid):\ntime_s,used_private_vms,used_cloud_vms\n",
+            "shape [policy=static]:\nused_private_vms",
+        ] {
+            assert!(
+                rendered.contains(needle),
+                "missing {needle:?} in:\n{rendered}"
+            );
+        }
+        s.outputs.series = false;
+        s.outputs.comparison = false;
+        let rendered = run_scenario(&s).unwrap().render();
+        assert!(!rendered.contains("series ["), "no series requested");
+        assert!(!rendered.contains("all apps"), "no comparison requested");
     }
 
     #[test]

@@ -79,10 +79,37 @@ impl Scenario {
         })
     }
 
-    /// Writes the scenario to a file (the [`Self::to_json`] bytes).
+    /// Writes the scenario to a file (the [`Self::to_json`] bytes),
+    /// through [`publish_atomically`].
     pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        fs::write(path, self.to_json())
+        publish_atomically(path, &self.to_json())
     }
+}
+
+/// Writes `contents` to `path` crash-consistently: into `path.tmp` in
+/// the same directory, synced to disk, then renamed over `path` — a
+/// reader sees the old file or the whole new one, never a torn write.
+/// The directory is synced last so the rename itself survives a crash.
+/// This is the one write path for every file a scenario run publishes.
+pub fn publish_atomically(path: impl AsRef<Path>, contents: &str) -> io::Result<()> {
+    use std::io::Write as _;
+    let path = path.as_ref();
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let mut file = fs::File::create(&tmp)?;
+    let published = file
+        .write_all(contents.as_bytes())
+        .and_then(|()| file.sync_all())
+        .and_then(|()| fs::rename(&tmp, path));
+    if published.is_err() {
+        let _ = fs::remove_file(&tmp);
+    }
+    published?;
+    let dir = path
+        .parent()
+        .filter(|d| !d.as_os_str().is_empty())
+        .unwrap_or(Path::new("."));
+    fs::File::open(dir)?.sync_all()
 }
 
 /// What arrives at the platform.
@@ -132,23 +159,39 @@ impl WorkloadSpec {
                 meryn_workloads::generators::generate(&cfg, seed)
             }
             WorkloadSpec::Explicit { submissions } => {
-                assert!(
-                    modifier.interarrival.is_none(),
-                    "the InterarrivalSecs axis only applies to Paper/Generated workloads; \
-                     use LoadMultiplier to compress an explicit submission list"
-                );
+                self.check_modifier(modifier)?;
                 scale_arrivals(submissions.clone(), modifier.load_multiplier)
             }
             WorkloadSpec::TraceFile { path } => {
-                assert!(
-                    modifier.interarrival.is_none(),
-                    "the InterarrivalSecs axis only applies to Paper/Generated workloads; \
-                     use LoadMultiplier to compress a trace"
-                );
+                self.check_modifier(modifier)?;
                 scale_arrivals(Trace::load(path)?.submissions, modifier.load_multiplier)
             }
         };
         Ok(meryn_workloads::submission::sort_by_arrival(subs))
+    }
+
+    /// Rejects a modifier this workload cannot apply: an inter-arrival
+    /// override on an explicit submission list or a trace, whose
+    /// arrival instants are given rather than generated.
+    ///
+    /// # Errors
+    /// `InvalidInput`, naming the axis to use instead.
+    pub(crate) fn check_modifier(&self, modifier: &WorkloadModifier) -> io::Result<()> {
+        let what = match self {
+            WorkloadSpec::Explicit { .. } => "an explicit submission list",
+            WorkloadSpec::TraceFile { .. } => "a trace",
+            WorkloadSpec::Paper(_) | WorkloadSpec::Generated { .. } => return Ok(()),
+        };
+        if modifier.interarrival.is_none() {
+            return Ok(());
+        }
+        Err(io::Error::new(
+            io::ErrorKind::InvalidInput,
+            format!(
+                "the InterarrivalSecs axis only applies to Paper/Generated workloads; \
+                 use LoadMultiplier to compress {what}"
+            ),
+        ))
     }
 
     /// For `Generated` workloads, the generator config (modifiers
@@ -310,8 +353,28 @@ impl SweepAxis {
         self.len() == 0
     }
 
+    /// Rejects an axis no variant can be built from over `cfg`: one
+    /// with no values, or an `InitialVms` split that does not name one
+    /// count per VC (where [`Self::apply`] would panic).
+    pub fn check(&self, cfg: &PlatformConfig) -> Result<(), String> {
+        if self.is_empty() {
+            return Err("sweep axis with no values".into());
+        }
+        match self {
+            SweepAxis::InitialVms { values }
+                if values.iter().any(|split| split.len() != cfg.vcs.len()) =>
+            {
+                Err("InitialVms split must name one count per VC".into())
+            }
+            _ => Ok(()),
+        }
+    }
+
     /// Applies value `idx` to the variant under construction and
     /// returns its label fragment (`key=value`).
+    ///
+    /// # Panics
+    /// On an axis [`Self::check`] rejects.
     pub fn apply(
         &self,
         idx: usize,
@@ -506,15 +569,52 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "only applies to Paper/Generated")]
     fn interarrival_override_on_explicit_workload_is_rejected() {
         let spec = WorkloadSpec::Explicit {
             submissions: vec![],
         };
-        let _ = spec.materialize(&WorkloadModifier {
-            load_multiplier: 1.0,
-            interarrival: Some(SimDuration::from_secs(1)),
-        });
+        let err = spec
+            .materialize(&WorkloadModifier {
+                load_multiplier: 1.0,
+                interarrival: Some(SimDuration::from_secs(1)),
+            })
+            .unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidInput);
+        assert!(
+            err.to_string().contains("only applies to Paper/Generated"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn axis_check_rejects_what_apply_would_panic_on() {
+        let cfg = PlatformConfig::paper("meryn");
+        let empty = SweepAxis::PenaltyFactor { values: vec![] };
+        assert_eq!(empty.check(&cfg), Err("sweep axis with no values".into()));
+        let short = SweepAxis::InitialVms {
+            values: vec![vec![25, 25], vec![50]],
+        };
+        assert_eq!(
+            short.check(&cfg),
+            Err("InitialVms split must name one count per VC".into())
+        );
+        let fair = SweepAxis::InitialVms {
+            values: vec![vec![25, 25]],
+        };
+        assert_eq!(fair.check(&cfg), Ok(()));
+    }
+
+    #[test]
+    fn publish_atomically_leaves_no_temp_file() {
+        let dir = std::env::temp_dir().join(format!("meryn-spec-publish-{}", std::process::id()));
+        fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("out.json");
+        publish_atomically(&path, "first\n").unwrap();
+        publish_atomically(&path, "second\n").unwrap();
+        assert_eq!(fs::read_to_string(&path).unwrap(), "second\n");
+        assert!(!dir.join("out.json.tmp").exists());
+        assert!(publish_atomically(dir.join("no-such-dir/out.json"), "x").is_err());
+        fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

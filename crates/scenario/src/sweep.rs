@@ -175,6 +175,8 @@ mod tests {
         assert_eq!(dedup.len(), 32, "derived seeds must not collide");
         // Different base: entirely different streams.
         assert_ne!(a, replica_seeds(DEFAULT_BASE_SEED + 1, 32));
+        // The shipped specs and goldens record this base seed.
+        assert_eq!(DEFAULT_BASE_SEED, 0xC0FFEE);
     }
 
     #[test]

@@ -10,11 +10,11 @@
 //! generated workload through the O(1)-memory streaming path is
 //! byte-identical to enqueueing the materialized vector.
 
-use meryn_bench::spec::{WorkloadModifier, WorkloadSpec};
-use meryn_bench::{catalog, single_run_resume, single_run_start, Scenario};
 use meryn_core::config::{PlatformConfig, VcConfig};
 use meryn_core::report::ReportMode;
 use meryn_core::{EngineCheckpoint, Platform};
+use meryn_scenario::spec::{WorkloadModifier, WorkloadSpec};
+use meryn_scenario::{single_run_resume, single_run_start, Scenario};
 use meryn_sim::SimTime;
 use meryn_workloads::{paper_workload, PaperWorkloadParams};
 use proptest::prelude::*;
@@ -99,7 +99,11 @@ proptest! {
 /// The hyperscale CI scenario cut down for debug-build budgets, still
 /// streaming + aggregate (its production configuration).
 fn trimmed_hyperscale_ci(count: usize) -> Scenario {
-    let mut s = catalog::hyperscale_ci();
+    let mut s = Scenario::load(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../scenarios/hyperscale-ci.json"
+    ))
+    .expect("the shipped hyperscale-ci spec loads");
     match &mut s.workload {
         WorkloadSpec::Generated { config, .. } => config.count = count,
         _ => unreachable!("hyperscale-ci is a Generated scenario"),

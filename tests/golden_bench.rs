@@ -5,10 +5,10 @@
 //! harness. The baseline file is parsed (not hard-coded) so the snapshot
 //! and the assertion can never drift apart.
 
-use meryn_bench::sweep::{case_sweep, fanout, DEFAULT_BASE_SEED};
-use meryn_bench::{run_paper, TABLE1_CASES};
 use meryn_core::report::compare;
 use meryn_core::RunReport;
+use meryn_scenario::sweep::{case_sweep, fanout, DEFAULT_BASE_SEED};
+use meryn_scenario::{run_paper, TABLE1_CASES};
 use serde_json::Value;
 
 fn baseline() -> Value {

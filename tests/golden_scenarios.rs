@@ -18,11 +18,25 @@
 //! and put the printed per-scenario delta summary in the PR
 //! description (see `scenarios/README.md` for the re-baseline policy).
 
-use meryn_bench::{run_scenario, Scenario};
+use meryn_scenario::{run_scenario, Scenario};
 use std::path::PathBuf;
 
 fn repo_path(rel: &str) -> PathBuf {
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/..")).join(rel)
+}
+
+/// The stem of every spec file under `scenarios/`, sorted.
+fn spec_stems() -> Vec<String> {
+    let mut stems: Vec<String> = std::fs::read_dir(repo_path("scenarios"))
+        .expect("scenarios/ exists")
+        .filter_map(|entry| {
+            let path = entry.expect("readable entry").path();
+            (path.extension().and_then(|e| e.to_str()) == Some("json"))
+                .then(|| path.file_stem().unwrap().to_str().unwrap().to_owned())
+        })
+        .collect();
+    stems.sort();
+    stems
 }
 
 fn golden_for(stem: &str) -> String {
@@ -31,6 +45,8 @@ fn golden_for(stem: &str) -> String {
         .unwrap_or_else(|e| panic!("{}: {e} — record the golden first", path.display()))
 }
 
+/// Reproduces `stem`'s golden byte for byte and checks that the human
+/// rendering names every variant it ran.
 fn reproduce(stem: &str) {
     let spec = Scenario::load(repo_path(&format!("scenarios/{stem}.json"))).expect("spec loads");
     let report = run_scenario(&spec).expect("spec needs no extra files");
@@ -41,22 +57,42 @@ fn reproduce(stem: &str) {
         "{stem}: report drifted from scenarios/goldens/{stem}.json — if intentional, \
          regenerate the golden (see this file's module docs)"
     );
+    let rendered = report.render();
+    for v in &report.variants {
+        assert!(
+            rendered.contains(&v.label),
+            "{stem}: the rendering never names variant {:?}",
+            v.label
+        );
+    }
 }
 
 #[test]
 fn every_checked_in_spec_has_a_golden() {
-    for entry in std::fs::read_dir(repo_path("scenarios")).expect("scenarios/ exists") {
-        let path = entry.expect("readable entry").path();
-        if path.extension().and_then(|e| e.to_str()) != Some("json") {
-            continue;
-        }
-        let stem = path.file_stem().unwrap().to_str().unwrap().to_owned();
+    for stem in spec_stems() {
         assert!(
             repo_path(&format!("scenarios/goldens/{stem}.json")).exists(),
             "scenarios/goldens/{stem}.json missing — every spec ships with its golden"
         );
     }
 }
+
+/// Specs whose runs take minutes without optimizations (a simulated
+/// month of ~100k submissions; 200k streamed submissions): only the
+/// release-only regeneration test below pins them (CI additionally
+/// `cmp`s the release binary's report against every golden).
+const RELEASE_ONLY: [&str; 2] = ["representative-datacenter", "hyperscale-ci"];
+
+/// Specs with a test of their own below.
+const DEDICATED: [&str; 7] = [
+    "paper",
+    "high-load",
+    "cheap-cloud",
+    "no-suspension",
+    "deadline-aware",
+    "many-vc",
+    "chaos-datacenter",
+];
 
 #[test]
 fn paper_reproduces_its_golden() {
@@ -97,31 +133,27 @@ fn chaos_datacenter_reproduces_its_golden() {
     reproduce("chaos-datacenter");
 }
 
-/// ~100k submissions over a simulated month: minutes of work without
-/// optimizations, so the byte comparison only runs in release builds
-/// (CI additionally `cmp`s the release binary's report against this
-/// golden for every spec, this one included).
-#[cfg(not(debug_assertions))]
+/// Every spec that is neither [`RELEASE_ONLY`] nor [`DEDICATED`] (the
+/// figure and ablation specs, and any spec added later) reproduces its
+/// golden in any build.
 #[test]
-fn representative_datacenter_reproduces_its_golden() {
-    reproduce("representative-datacenter");
+fn every_other_spec_reproduces_its_golden() {
+    for stem in spec_stems() {
+        if !RELEASE_ONLY.contains(&stem.as_str()) && !DEDICATED.contains(&stem.as_str()) {
+            reproduce(&stem);
+        }
+    }
 }
 
 /// The `scenario-diff --regen` round-trip: regenerating every golden
 /// must be a byte-for-byte no-op against what is checked in. This
 /// sweeps *all* specs (future ones included), so a spec added without
-/// re-recording — or a golden edited by hand — fails here even before
-/// its dedicated reproduce test exists. Release-only: the sweep
-/// includes the month-long representative-datacenter run.
+/// re-recording — or a golden edited by hand — fails here.
+/// Release-only: the sweep includes the [`RELEASE_ONLY`] runs.
 #[cfg(not(debug_assertions))]
 #[test]
 fn regenerating_every_golden_is_a_no_op() {
-    for entry in std::fs::read_dir(repo_path("scenarios")).expect("scenarios/ exists") {
-        let path = entry.expect("readable entry").path();
-        if path.extension().and_then(|e| e.to_str()) != Some("json") {
-            continue;
-        }
-        let stem = path.file_stem().unwrap().to_str().unwrap().to_owned();
+    for stem in spec_stems() {
         reproduce(&stem);
     }
 }

@@ -6,6 +6,7 @@
 use meryn_core::config::PlatformConfig;
 use meryn_core::report::{compare, RunReport};
 use meryn_core::{Platform, VcId};
+use meryn_scenario::{run_scenario, Scenario};
 use meryn_workloads::{paper_workload, PaperWorkloadParams};
 
 fn run(mode: &str) -> RunReport {
@@ -216,4 +217,31 @@ fn deterministic_full_scenario() {
         serde_json::to_string(&a).unwrap(),
         serde_json::to_string(&b).unwrap()
     );
+}
+
+/// Figure 5 as shipped: in each variant of `scenarios/fig5.json` the
+/// used-VM series peak exactly where the summary's peaks say — those
+/// come from running counters tracked apart from the series — and
+/// never dip below zero.
+#[test]
+fn fig5_series_peak_at_the_summary_peaks_and_stay_non_negative() {
+    let spec = Scenario::load(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../scenarios/fig5.json"
+    ))
+    .expect("the shipped fig5 spec loads");
+    let report = run_scenario(&spec).expect("the paper workload needs no files");
+    assert_eq!(report.variants.len(), 2, "meryn and static");
+    for v in &report.variants {
+        let series = v.series.as_ref().expect("fig5 records the used-VM series");
+        let summary = v.summary();
+        let (private, cloud) = (series.get(0), series.get(1));
+        assert_eq!(private.name(), "used_private_vms");
+        assert_eq!(cloud.name(), "used_cloud_vms");
+        assert_eq!(private.max(), summary.peak_private_vms, "{}", v.label);
+        assert_eq!(cloud.max(), summary.peak_cloud_vms, "{}", v.label);
+        for s in series.iter() {
+            assert!(s.min() >= 0.0, "{} {}: negative sample", v.label, s.name());
+        }
+    }
 }

@@ -1,11 +1,11 @@
 //! Parallel-determinism guarantees for the shared replica-sweep harness:
-//! sweeping the paper scenario through `meryn_bench::sweep` produces
+//! sweeping the paper scenario through `meryn_scenario::sweep` produces
 //! **byte-identical** serialized results whether the rayon shim runs on
 //! one thread or many, under both policy modes. This is the invariant
 //! that makes threading the evaluation safe — no reported number may
 //! depend on scheduling.
 
-use meryn_bench::sweep::{self, DEFAULT_BASE_SEED};
+use meryn_scenario::sweep::{self, DEFAULT_BASE_SEED};
 use rayon::ThreadPoolBuilder;
 
 const REPLICAS: u64 = 4;
@@ -62,7 +62,7 @@ fn aggregated_sweep_is_byte_identical_at_any_thread_count() {
 
 #[test]
 fn table1_case_sweep_is_thread_count_independent() {
-    for case in meryn_bench::TABLE1_CASES {
+    for case in meryn_scenario::TABLE1_CASES {
         let sequential = at_threads(1, || sweep::case_sweep(case, DEFAULT_BASE_SEED, 8));
         let threaded = at_threads(8, || sweep::case_sweep(case, DEFAULT_BASE_SEED, 8));
         assert_eq!(

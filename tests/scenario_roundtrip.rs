@@ -1,15 +1,16 @@
 //! Scenario-spec round-tripping and golden reproduction through the
 //! declarative API:
 //!
-//! * every checked-in `scenarios/*.json` deserializes, re-serializes
-//!   **byte-identically**, and matches its `meryn_scenario::catalog`
-//!   constructor (the single source of truth);
+//! * every checked-in `scenarios/*.json` — the only definition of a
+//!   shipped spec — deserializes, re-serializes **byte-identically**,
+//!   is named after its file and passes [`Scenario::check`];
 //! * `run_scenario` on the checked-in paper spec reproduces the
 //!   `BENCH_seed.json` goldens — Fig 5 peak cloud VMs 15 vs 25, Fig 6
 //!   cost saved 35800 u, Table 1 means — with byte-identical JSON
 //!   reports at 1 and N threads.
 
-use meryn_bench::{catalog, run_scenario, Scenario};
+use meryn_scenario::spec::WorkloadSpec;
+use meryn_scenario::{run_scenario, Scenario};
 use rayon::ThreadPoolBuilder;
 use serde_json::Value;
 use std::path::PathBuf;
@@ -18,6 +19,7 @@ fn repo_path(rel: &str) -> PathBuf {
     PathBuf::from(concat!(env!("CARGO_MANIFEST_DIR"), "/..")).join(rel)
 }
 
+/// Every spec file as `(path, text)`, sorted by path.
 fn checked_in_specs() -> Vec<(PathBuf, String)> {
     let mut specs: Vec<(PathBuf, String)> = std::fs::read_dir(repo_path("scenarios"))
         .expect("scenarios/ directory exists")
@@ -37,8 +39,8 @@ fn checked_in_specs() -> Vec<(PathBuf, String)> {
 fn every_checked_in_spec_round_trips_byte_identically() {
     let specs = checked_in_specs();
     assert!(
-        specs.len() >= 4,
-        "expected the 4 shipped specs, found {}",
+        specs.len() >= 18,
+        "expected the 18 shipped specs, found {}",
         specs.len()
     );
     for (path, text) in specs {
@@ -53,18 +55,17 @@ fn every_checked_in_spec_round_trips_byte_identically() {
     }
 }
 
+/// The files are the definitions, so nothing else keeps a spec's name
+/// in step with its file or its configs valid.
 #[test]
-fn checked_in_specs_match_the_catalog() {
-    for (stem, scenario) in catalog::shipped() {
-        let path = repo_path(&format!("scenarios/{stem}.json"));
-        let text =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
-        assert_eq!(
-            text,
-            scenario.to_json(),
-            "{stem}.json drifted from the catalog — regenerate with \
-             `cargo run -p meryn-bench --bin scenario -- --emit-shipped scenarios/`"
-        );
+fn shipped_names_match_file_stems() {
+    for (path, text) in checked_in_specs() {
+        let scenario = Scenario::from_json(&text).expect("spec parses");
+        let stem = path.file_stem().unwrap().to_str().unwrap();
+        assert_eq!(scenario.name, stem, "{}", path.display());
+        scenario
+            .check()
+            .unwrap_or_else(|e| panic!("{}: {e}", path.display()));
     }
 }
 
@@ -144,8 +145,9 @@ fn paper_scenario_reproduces_goldens_at_any_thread_count() {
 #[test]
 fn non_paper_specs_run_end_to_end() {
     // The other shipped specs stay runnable (trimmed for test budget).
-    for (stem, mut scenario) in catalog::shipped() {
-        if stem == "paper" {
+    for (path, text) in checked_in_specs() {
+        let mut scenario = Scenario::from_json(&text).expect("spec parses");
+        if scenario.name == "paper" {
             continue;
         }
         scenario.sweep.replicas = 0;
@@ -153,12 +155,17 @@ fn non_paper_specs_run_end_to_end() {
         // are cut down hard — this is a does-it-run check, not a perf
         // run, and debug-mode full runs blow the test budget.
         let expected = match &mut scenario.workload {
-            meryn_bench::spec::WorkloadSpec::Generated { config, .. } => {
+            WorkloadSpec::Generated { config, .. } => {
                 config.count = 500;
                 500
             }
-            _ => 65,
+            WorkloadSpec::Paper(params) => params.vc1_apps + params.vc2_apps,
+            WorkloadSpec::Explicit { submissions } => submissions.len(),
+            WorkloadSpec::TraceFile { .. } => {
+                panic!("{}: no shipped spec reads a trace", path.display())
+            }
         };
+        let stem = scenario.name.clone();
         let report = run_scenario(&scenario).unwrap_or_else(|e| panic!("{stem}: {e}"));
         assert!(!report.variants.is_empty(), "{stem}: no variants");
         for v in &report.variants {
