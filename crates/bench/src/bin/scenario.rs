@@ -31,8 +31,11 @@
 //! due after SECS, snapshots the complete engine state to FILE and
 //! exits; `--resume FILE` restores and runs to completion. The
 //! resumed report is byte-identical to the `--single` one — CI `cmp`s
-//! them. `--resume` rejects a checkpoint whose `format` is missing or
-//! differs from this build's.
+//! them. A checkpoint holds the engine state and the arrival stream's
+//! cursor, not the pending arrivals: `--resume` re-derives the
+//! workload from the spec, so it rejects a checkpoint whose `format`
+//! is missing or differs from this build's, and one taken from another
+//! spec's run (another platform config or workload size).
 //!
 //! Every file the binary writes is published atomically
 //! (`meryn_scenario::publish_atomically`: written as `FILE.tmp`,
@@ -62,10 +65,9 @@ fn fail(msg: impl std::fmt::Display) -> ! {
 }
 
 /// [`single_run_start`] with the bin's diagnostic convention: a
-/// malformed spec, workload materialization and stream-attachment
-/// failures are user-input problems, reported on stderr with exit 2
-/// (like an unreadable spec or a corrupt checkpoint) rather than a
-/// panic.
+/// malformed spec or an unreadable workload trace is a user-input
+/// problem, reported on stderr with exit 2 (like an unreadable spec or
+/// a corrupt checkpoint) rather than a panic.
 fn start_single_run(scenario: &Scenario) -> meryn_core::Platform {
     single_run_start(scenario)
         .unwrap_or_else(|e| fail(format!("cannot start {}: {e}", scenario.name)))
@@ -182,8 +184,11 @@ fn main() {
         if let Err(e) = cp.check_format() {
             fail(format!("{cp_path}: {e}"));
         }
-        if let Err(e) = scenario.check() {
-            fail(format!("cannot resume {}: {e}", scenario.name));
+        if let Err(e) = scenario.check_checkpoint(&cp) {
+            fail(format!(
+                "cannot resume {} from {cp_path}: {e}",
+                scenario.name
+            ));
         }
         let mut platform = single_run_resume(&scenario, cp);
         platform.run_to_completion();

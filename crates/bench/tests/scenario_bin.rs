@@ -1,8 +1,9 @@
 //! Drives the `scenario` binary's failure paths: a malformed spec, a
 //! missing, truncated, corrupt or wrong-format checkpoint handed to
-//! `--resume`, or an unwritable output must produce a clear diagnostic
-//! and exit code 2 — never a panic backtrace — and `--checkpoint`
-//! publishes its file atomically.
+//! `--resume`, a checkpoint resumed under another spec, or an
+//! unwritable output must produce a clear diagnostic and exit code 2 —
+//! never a panic backtrace — and `--checkpoint` publishes its file
+//! atomically.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -246,11 +247,61 @@ fn resume_rejects_a_missing_or_mismatched_format_with_exit_2() {
             *v = Value::U64(999);
         }
     }
-    let (code, stderr) = resume(&spec, &write_object(&spec, "future.json", future));
+    let (code, stderr) = resume(&spec, &write_object(&spec, "future.json", future.clone()));
     assert_eq!(code, Some(2), "mismatched format → exit 2: {stderr}");
     assert!(
         stderr.contains("checkpoint format 999"),
         "diagnostic names the format: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "no panic backtrace: {stderr}");
+
+    // Layout 2: a bulk-enqueued run kept its pending arrivals in the
+    // shard queues and wrote no arrival cursor.
+    let mut layout_2 = future;
+    for (k, v) in &mut layout_2 {
+        match k.as_str() {
+            "format" => *v = Value::U64(2),
+            "arrivals" => *v = Value::Null,
+            _ => {}
+        }
+    }
+    let (code, stderr) = resume(&spec, &write_object(&spec, "layout-2.json", layout_2));
+    assert_eq!(code, Some(2), "format-2 checkpoint → exit 2: {stderr}");
+    assert!(
+        stderr.contains("not a valid engine checkpoint"),
+        "diagnostic names the failure: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "no panic backtrace: {stderr}");
+}
+
+#[test]
+fn resume_under_another_spec_exits_2_with_diagnostic() {
+    let cp = write_checkpoint(&spec_path("foreign-paper"), "foreign");
+    // Another platform config: the escalation ablation.
+    let escalation = Path::new(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../scenarios/ablation-escalation.json"
+    ));
+    let (code, stderr) = resume(escalation, &cp);
+    assert_eq!(code, Some(2), "foreign config → exit 2: {stderr}");
+    assert!(
+        stderr.contains("cannot resume ablation-escalation")
+            && stderr.contains("platform config differs"),
+        "diagnostic names the mismatch: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "no panic backtrace: {stderr}");
+
+    // The same platform with one submission fewer.
+    let mut fewer = small_paper();
+    let WorkloadSpec::Paper(params) = &mut fewer.workload else {
+        unreachable!("paper.json has a Paper workload")
+    };
+    params.vc1_apps -= 1;
+    let (code, stderr) = resume(&save_spec("foreign-fewer", &fewer), &cp);
+    assert_eq!(code, Some(2), "foreign workload → exit 2: {stderr}");
+    assert!(
+        stderr.contains("its workload holds 65 submissions, the variant's 64"),
+        "diagnostic names the mismatch: {stderr}"
     );
     assert!(!stderr.contains("panicked"), "no panic backtrace: {stderr}");
 }

@@ -110,13 +110,19 @@ pub enum Effect {
     /// market transaction (cloud offer, queue withdrawal, leases)
     /// remains, and that is executor work. When the market declines,
     /// the executor falls back on `violated` exactly like the
-    /// report-mode path: mark and retire, or re-arm.
+    /// report-mode path: mark and retire, or re-arm — unless the
+    /// refusal was transient and `attempt` is within the fault plane's
+    /// retry budget, in which case it arms a backoff
+    /// [`crate::events::Event::LeaseRetry`].
     Escalate {
         /// The application asking to burst.
         app: AppId,
         /// Whether the SLA was already violated at check time (drives
         /// the fallback when no cloud can serve the escalation).
         violated: bool,
+        /// 0 for a controller check; for a lease retry, which attempt
+        /// of the backoff chain this is (1-based).
+        attempt: u32,
     },
     /// A transfer's stop batch completed: the executor completes the
     /// pool stops and begins the replacement boots with the destination
@@ -208,18 +214,6 @@ pub enum Effect {
     /// negotiation breakdown); the executor tallies the rejection on
     /// the fabric.
     Rejected,
-    /// An SLA check re-ran after a refused cloud lease (fault plane):
-    /// like [`Effect::Escalate`], but carrying the retry attempt so the
-    /// executor can apply the deterministic capped backoff and the
-    /// retry budget before degrading to the no-cloud fallback.
-    LeaseRetry {
-        /// The application re-asking to burst.
-        app: AppId,
-        /// Whether the SLA was already violated at check time.
-        violated: bool,
-        /// Which attempt this verdict belongs to (1-based).
-        attempt: u32,
-    },
 }
 
 /// An effect with its canonical key.

@@ -22,6 +22,13 @@
 //! shard's own RNG stream (`stream_seed(seed, SHARD_STREAM_BASE + vc)`),
 //! so one VC's draw sequence never depends on another VC's traffic.
 //!
+//! A workload enters a run one way: as an arrival stream in arrival
+//! order. Attaching it reserves one sequence tag per submission, and
+//! each arrival is dispatched into its shard's queue only when the run
+//! reaches its instant — so the queues hold the near future, workload
+//! memory stays O(1), and a checkpoint records the stream's cursor
+//! instead of the pending arrivals.
+//!
 //! State changes only at event instants, and one run function advances
 //! the engine by one of them: it drains the maximal run of events
 //! queued at the next instant, groups it by shard, processes the
@@ -50,7 +57,9 @@ use meryn_sim::metrics::SeriesSet;
 use meryn_sim::{earliest_key, SimDuration, SimRng, SimTime};
 use meryn_sla::pricing::PricingParams;
 use meryn_sla::Money;
-use meryn_vmm::{CloudId, ImageRegistry, Ledger, Location, PrivatePool, PublicCloud, VmId};
+use meryn_vmm::{
+    CloudId, ImageId, ImageRegistry, Ledger, Location, PrivatePool, PublicCloud, VmId,
+};
 use meryn_workloads::Submission;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -113,7 +122,7 @@ pub struct Platform {
     /// One shard per deployed VC, `VcId` order.
     pub(crate) shards: Vec<VcShard>,
     /// Deployed framework kinds, `VcId` order — the pure-config routing
-    /// table arrivals resolve against at enqueue/stream-dispatch time
+    /// table arrivals resolve against when they are dispatched
     /// (rebuilt from `cfg`, never serialized).
     vc_kinds: Vec<FrameworkKind>,
     /// The shared singletons.
@@ -142,28 +151,20 @@ pub struct Platform {
     /// are gone by `finalize`, so the report's completion time is
     /// tracked as they retire).
     agg_completion: SimTime,
-    /// Streamed arrival source, when the workload was attached with
-    /// [`Self::stream_workload`] instead of being enqueued in bulk.
+    /// The workload's arrival stream, once one is attached.
     arrivals: Option<ArrivalSource>,
 }
 
-/// A streamed workload: submissions pulled lazily from an iterator,
-/// carrying the exact sequence tags bulk enqueueing would have
-/// assigned (the block was reserved at attach time), so the streamed
-/// run's schedule — and report — is byte-identical to the batch run's
-/// while holding O(1) workload memory.
+/// A workload's arrival stream: submissions pulled lazily from an
+/// iterator in arrival order, each carrying its tag from the block
+/// reserved when the workload was attached, so a run holds one arrival
+/// ahead of its clock instead of the whole workload.
 struct ArrivalSource {
     /// The submission stream, arrival order (`at` nondecreasing).
     iter: Box<dyn Iterator<Item = Submission> + Send>,
     /// Buffered head: peeked but not yet processed.
     head: Option<Submission>,
-    /// Sequence tag of the next streamed arrival.
-    next_seq: u64,
-    /// One past the last reserved tag.
-    end_seq: u64,
-    /// Arrivals popped so far (the checkpoint cursor: a resumed run
-    /// re-creates the iterator and skips this many).
-    emitted: u64,
+    cursor: ArrivalCursor,
 }
 
 impl ArrivalSource {
@@ -172,66 +173,69 @@ impl ArrivalSource {
         if self.head.is_none() {
             self.head = self.iter.next();
         }
-        self.head.as_ref().map(|s| (s.at, self.next_seq))
+        let seq = self.cursor.first_seq + self.cursor.emitted;
+        self.head.as_ref().map(|s| (s.at, seq))
     }
 
     /// Takes the peeked arrival with its sequence tag.
     fn pop(&mut self) -> (u64, Submission) {
         let sub = self.head.take().expect("stream peeked before popping");
-        let seq = self.next_seq;
+        let ArrivalCursor {
+            first_seq,
+            count,
+            emitted,
+        } = self.cursor;
         assert!(
-            seq < self.end_seq,
+            emitted < count,
             "streamed workload exceeded its declared submission count"
         );
-        self.next_seq += 1;
-        self.emitted += 1;
-        (seq, sub)
+        self.cursor.emitted += 1;
+        (first_seq + emitted, sub)
     }
 }
 
-/// Why a streamed workload could not be attached.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StreamError {
-    /// A streamed workload is already attached to this run.
-    AlreadyAttached,
+/// How far an [`ArrivalSource`] got. Workloads are deterministic
+/// functions of their spec, so a checkpoint stores only this cursor and
+/// a resumed run re-creates the stream and skips `emitted` submissions.
+#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+struct ArrivalCursor {
+    /// Tag of the workload's first arrival: the block reserved at
+    /// attach time is `first_seq..first_seq + count`.
+    first_seq: u64,
+    /// Submissions the workload holds.
+    count: u64,
+    /// Arrivals dispatched so far.
+    emitted: u64,
 }
 
+/// Why a workload could not be attached. Attaching cannot fail — a
+/// second workload on one platform is API misuse and panics — so the
+/// type has no values; [`Platform::stream_workload`] keeps its
+/// `Result` so existing callers compile unchanged.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum StreamError {}
+
 impl std::fmt::Display for StreamError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StreamError::AlreadyAttached => {
-                write!(
-                    f,
-                    "one streamed workload per run: a stream is already attached"
-                )
-            }
-        }
+    fn fmt(&self, _: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match *self {}
     }
 }
 
 impl std::error::Error for StreamError {}
 
-/// The serializable cursor of an [`ArrivalSource`]: workloads are
-/// deterministic functions of their generator config and seed, so a
-/// checkpoint stores only how far the stream got.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-struct ArrivalCheckpoint {
-    next_seq: u64,
-    end_seq: u64,
-    emitted: u64,
-}
-
 /// Layout version of [`EngineCheckpoint`], written into every
 /// checkpoint's required `format` field. Bump it whenever the captured
-/// state changes shape. Checkpoints written before the field existed
-/// (layout 1, which still carried a control queue) fail to parse.
-pub const CHECKPOINT_FORMAT: u32 = 2;
+/// state changes shape. Layout 2 held a bulk-enqueued run's pending
+/// arrivals in its shard queues and layout 1 a control queue; neither
+/// parses as layout 3, which holds an arrival cursor.
+pub const CHECKPOINT_FORMAT: u32 = 3;
 
 /// A full engine snapshot: every shard (framework masters and event
 /// queues included), the shared fabric (pool, clouds, ledger, metrics,
-/// RNG stream positions), the global sequence counter and the
-/// streamed-arrival cursor. Serializable with serde; resuming from it
-/// reproduces the uninterrupted run byte-for-byte at any thread count.
+/// RNG stream positions), the global sequence counter and the arrival
+/// stream's cursor. Serializable with serde; resuming from it with the
+/// same workload reproduces the uninterrupted run byte-for-byte at any
+/// thread count.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EngineCheckpoint {
     /// Layout version; [`CHECKPOINT_FORMAT`] when written by this build.
@@ -247,7 +251,7 @@ pub struct EngineCheckpoint {
     next_app: u64,
     aggregate: Option<AggregateReport>,
     agg_completion: SimTime,
-    arrivals: Option<ArrivalCheckpoint>,
+    arrivals: ArrivalCursor,
     parallel_runs: u64,
 }
 
@@ -268,11 +272,11 @@ impl EngineCheckpoint {
         }
     }
 
-    /// Whether the checkpointed run streamed its workload — if so,
-    /// resume with [`Platform::from_checkpoint_streaming`],
-    /// handing back a fresh iterator over the same workload.
-    pub fn needs_workload(&self) -> bool {
-        self.arrivals.is_some()
+    /// Submissions in the checkpointed run's workload — the size of the
+    /// tag block reserved when it was attached (0 if none was). A
+    /// resume must hand back a workload of exactly this size.
+    pub fn arrival_count(&self) -> u64 {
+        self.arrivals.count
     }
 
     /// The checkpoint instant.
@@ -570,87 +574,64 @@ impl Platform {
         self.shards[vc.0].queue.push_tagged(due, seq, event);
     }
 
-    /// Routes one submission to its owning shard from the deployment
-    /// config alone: pre-assigns the dense `AppId`, appends the
-    /// `AppId → VcId` entry and returns the shard-bound arrival event.
-    /// A routing failure (unknown VC index, no VC of the kind) tallies
-    /// the rejection immediately and consumes no `AppId` — the caller
-    /// still burns one sequence tag so the bulk-enqueued and streamed
-    /// schedules stay tag-for-tag identical.
-    fn route_arrival(&mut self, sub: Submission) -> Option<(VcId, Event)> {
-        match route_kinds(sub.target, &self.vc_kinds) {
-            Ok(vc) => {
-                let app = AppId(self.next_app);
-                self.next_app += 1;
-                self.app_vc.push(vc);
-                Some((vc, Event::Arrival { app, sub }))
-            }
-            Err(_) => {
-                self.fabric.rejected += 1;
-                None
-            }
-        }
-    }
-
-    /// Enqueues a workload's arrivals, pre-routed into their owning
-    /// shards' queues. Accepts owned and borrowed submissions alike
-    /// (`Vec<Submission>`, `&[Submission]`, any iterator of either), so
-    /// drivers never clone a workload to feed the platform.
+    /// Hands a workload to the run: its submissions, stable-sorted by
+    /// arrival instant, become the run's arrival stream (see
+    /// [`Self::stream_workload`]). Accepts owned and borrowed
+    /// submissions alike (`Vec<Submission>`, `&[Submission]`, any
+    /// iterator of either). `AppId`s follow arrival order.
+    ///
+    /// # Panics
+    /// When a workload is already attached: one workload per run.
     pub fn enqueue_workload<I>(&mut self, workload: I)
     where
         I: IntoIterator,
         I::Item: Borrow<Submission>,
     {
-        for sub in workload {
-            let sub = *sub.borrow();
-            match self.route_arrival(sub) {
-                Some((_, ev)) => self.push_event(sub.at, ev),
-                // Rejected at routing: burn the tag the arrival would
-                // have carried, matching the stream's reserved block.
-                None => self.next_seq += 1,
-            }
-        }
+        let mut subs: Vec<Submission> = workload.into_iter().map(|s| *s.borrow()).collect();
+        subs.sort_by_key(|s| s.at);
+        let Ok(()) = self.stream_workload(subs.len() as u64, subs);
     }
 
-    /// Attaches a streamed workload of exactly `count` submissions,
-    /// reserving their sequence-tag block up front: streamed arrivals
-    /// carry the exact tags [`Self::enqueue_workload`] would have
-    /// assigned, so the run's schedule — and report — is byte-identical
-    /// to the batch-enqueued run while holding O(1) workload memory.
+    /// Attaches a workload of exactly `count` submissions as the run's
+    /// arrival stream, reserving its block of `count` sequence tags:
+    /// the i-th arrival carries the i-th tag of the block. Arrivals are
+    /// pulled from the iterator only as the run reaches their instant,
+    /// so the run holds O(1) workload memory.
     ///
     /// The iterator must yield submissions in nondecreasing `at` order
     /// (workload generators do) and at most `count` of them. Attach it
     /// before the run starts.
     ///
-    /// # Errors
-    /// One streamed workload per run: attaching a second stream returns
-    /// [`StreamError::AlreadyAttached`] and leaves the first untouched.
+    /// # Panics
+    /// When a workload is already attached: one workload per run.
     pub fn stream_workload<I>(&mut self, count: u64, workload: I) -> Result<(), StreamError>
     where
         I: IntoIterator<Item = Submission>,
         I::IntoIter: Send + 'static,
     {
-        if self.arrivals.is_some() {
-            return Err(StreamError::AlreadyAttached);
-        }
-        let first = self.next_seq;
+        assert!(
+            self.arrivals.is_none(),
+            "one workload per run: a workload is already attached"
+        );
+        let first_seq = self.next_seq;
         self.next_seq += count;
         self.arrivals = Some(ArrivalSource {
             iter: Box::new(workload.into_iter().fuse()),
             head: None,
-            next_seq: first,
-            end_seq: first + count,
-            emitted: 0,
+            cursor: ArrivalCursor {
+                first_seq,
+                count,
+                emitted: 0,
+            },
         });
         Ok(())
     }
 
     /// The instant of the globally next event, `None` once every queue
     /// and the arrival stream are drained. Before returning, every
-    /// streamed arrival due at (or before) that instant is dispatched
-    /// into its owning shard's queue — see [`Self::pump_stream`] — so
-    /// streamed arrivals never split a same-instant run the
-    /// bulk-enqueued schedule would batch whole.
+    /// arrival due at (or before) that instant is dispatched into its
+    /// owning shard's queue — see [`Self::pump_stream`] — so a run
+    /// drains the whole instant, arrivals and queued events alike.
     fn next_instant(&mut self) -> Option<SimTime> {
         loop {
             let queued = earliest_key(self.shards.iter_mut().map(|s| s.queue.peek_key()))
@@ -667,12 +648,13 @@ impl Platform {
         }
     }
 
-    /// Dispatches every streamed arrival due at `t` into its owning
-    /// shard's queue, carrying the pre-reserved sequence tags (routing
-    /// failures tally a rejection and burn their tag, like the bulk
-    /// path). The whole instant is pumped at once, so by the time a run
-    /// at `t` is drained the stream's head is strictly later — exactly
-    /// the bulk-enqueued schedule.
+    /// Dispatches every arrival due at `t` into its owning shard's
+    /// queue with its reserved tag. Routing is a function of the
+    /// deployment config alone: a routed arrival gets the next dense
+    /// `AppId`; a routing failure (unknown VC index, no VC of the kind)
+    /// tallies a rejection, consumes no `AppId` and leaves its tag
+    /// unused. The whole instant is pumped at once, so by the time a
+    /// run at `t` is drained the stream's head is strictly later.
     fn pump_stream(&mut self, t: SimTime) {
         loop {
             let Some((due, _)) = self.arrivals.as_mut().and_then(ArrivalSource::peek_key) else {
@@ -685,8 +667,16 @@ impl Platform {
                 unreachable!("stream peeked above")
             };
             debug_assert_eq!(sub.at, t, "streamed arrivals fire at their instant");
-            if let Some((vc, ev)) = self.route_arrival(sub) {
-                self.shards[vc.0].queue.push_tagged(t, seq, ev);
+            match route_kinds(sub.target, &self.vc_kinds) {
+                Ok(vc) => {
+                    let app = AppId(self.next_app);
+                    self.next_app += 1;
+                    self.app_vc.push(vc);
+                    self.shards[vc.0]
+                        .queue
+                        .push_tagged(t, seq, Event::Arrival { app, sub });
+                }
+                Err(_) => self.fabric.rejected += 1,
             }
         }
     }
@@ -839,8 +829,7 @@ impl Platform {
             // dispatch's completion): route it straight to its queue
             // instead of bouncing through the fabric's follow-up buffer.
             Effect::Schedule { due, event } => self.push_event(due, event),
-            Effect::Escalate { app, violated } => self.on_escalate(key.due, app, violated, 0),
-            Effect::LeaseRetry {
+            Effect::Escalate {
                 app,
                 violated,
                 attempt,
@@ -914,9 +903,9 @@ impl Platform {
     /// everything it can see (verdict needs attention, job submitted,
     /// no acquisition in flight); the market transaction happens here.
     ///
-    /// `attempt` is 0 for a fresh [`Effect::Escalate`] and counts up
-    /// through the fault plane's backoff chain. A *transient* refusal
-    /// (outage window, rejected admission) within the retry budget arms
+    /// `attempt` is 0 for a controller check and counts up through the
+    /// fault plane's backoff chain. A *transient* refusal (outage
+    /// window, rejected admission) within the retry budget arms
     /// one [`Event::LeaseRetry`] after a deterministic capped
     /// exponential backoff — the normal check chain stays suspended
     /// while the retry chain owns the application, so exactly one timer
@@ -1011,16 +1000,13 @@ impl Platform {
         }
     }
 
-    /// Expands a transfer's completed stop batch: complete each pool
-    /// stop, boot a replacement with the destination image in the slot
-    /// it freed (pool RNG draws — canonical-order work), park the
-    /// replacements in the pending acquisition and schedule the
-    /// coalesced ready event at the slowest boot.
-    fn apply_transfer_stopped(&mut self, now: SimTime, app: AppId, mut vms: Vec<VmId>) {
-        let dest = self.app_vc[app.0 as usize];
-        let image = self.shards[dest.0].vc.image;
+    /// Completes a VM transfer's stop batch — an inbound transfer or a
+    /// return to the lender — and boots a replacement with `image` in
+    /// each slot it freed (pool RNG draws — canonical-order work),
+    /// replacing `vms` in place. Returns the slowest boot.
+    fn reboot_stopped(&mut self, now: SimTime, image: ImageId, vms: &mut [VmId]) -> SimDuration {
         let mut done = SimDuration::ZERO;
-        for vm in vms.iter_mut() {
+        for vm in vms {
             self.fabric
                 .pool
                 .complete_stop(*vm, now)
@@ -1033,6 +1019,15 @@ impl Platform {
             *vm = new_vm;
             done = done.max_of(boot);
         }
+        done
+    }
+
+    /// Expands a transfer's completed stop batch with the destination
+    /// image, parks the replacements in the pending acquisition and
+    /// schedules the coalesced ready event at the slowest boot.
+    fn apply_transfer_stopped(&mut self, now: SimTime, app: AppId, mut vms: Vec<VmId>) {
+        let dest = self.app_vc[app.0 as usize];
+        let done = self.reboot_stopped(now, self.shards[dest.0].vc.image, &mut vms);
         let Some(PendingAcquisition::Transfer { vms: slot }) =
             self.shards[dest.0].pending.get_mut(&app)
         else {
@@ -1043,25 +1038,10 @@ impl Platform {
         self.push_event(now + done, Event::TransferReady { app });
     }
 
-    /// Expands a return's completed stop batch: complete each pool
-    /// stop, reboot with the lender's image, and schedule the coalesced
-    /// ready event at the slowest boot.
+    /// Expands a return's completed stop batch with the lender's image
+    /// and schedules the coalesced ready event at the slowest boot.
     fn apply_return_stopped(&mut self, now: SimTime, src: VcId, victim: AppId, mut vms: Vec<VmId>) {
-        let image = self.shards[src.0].vc.image;
-        let mut done = SimDuration::ZERO;
-        for vm in vms.iter_mut() {
-            self.fabric
-                .pool
-                .complete_stop(*vm, now)
-                .expect("return stop completes");
-            let (new_vm, boot) = self
-                .fabric
-                .pool
-                .begin_start(image, now)
-                .expect("the slot just freed");
-            *vm = new_vm;
-            done = done.max_of(boot);
-        }
+        let done = self.reboot_stopped(now, self.shards[src.0].vc.image, &mut vms);
         self.push_event(now + done, Event::ReturnReady { src, victim, vms });
     }
 
@@ -1121,9 +1101,34 @@ impl Platform {
         if self.shards[vc_id.0].vc.framework.withdraw(job).is_err() {
             return Escalation::NoCloud;
         }
-        self.fabric.bursts += nb;
         self.fabric.escalations += 1;
-        let image = self.shards[vc_id.0].vc.image;
+        self.begin_cloud_lease(now, app_id, cloud, nb, SimDuration::ZERO, Some(job));
+        self.shards[vc_id.0]
+            .apps
+            .get_mut(&app_id)
+            .expect("app exists")
+            .placement = Placement::Cloud { cloud };
+        Escalation::Leased
+    }
+
+    /// Leases `nb` VMs on `cloud` with the image of `app`'s VC (cloud
+    /// RNG draws — canonical-order work), parks them in the app's
+    /// pending acquisition and schedules the coalesced ready event
+    /// `lead` plus the slowest provisioning after `now`. `existing_job`
+    /// is the queued job an escalation withdrew; a fresh placement has
+    /// none yet. Both callers picked `cloud` from offers that can lease.
+    fn begin_cloud_lease(
+        &mut self,
+        now: SimTime,
+        app: AppId,
+        cloud: CloudId,
+        nb: u64,
+        lead: SimDuration,
+        existing_job: Option<JobId>,
+    ) {
+        let vc = self.app_vc[app.0 as usize];
+        self.fabric.bursts += nb;
+        let image = self.shards[vc.0].vc.image;
         let shape = self.cfg.vm_spec;
         let c = &mut self.fabric.clouds[cloud.0 as usize];
         let speed = c.speed();
@@ -1132,23 +1137,20 @@ impl Platform {
         for _ in 0..nb {
             let (vm, prov, rate) = c
                 .begin_lease(image, shape, now)
-                .expect("can_lease checked above");
+                .expect("protocol only offers clouds that can lease");
             done = done.max_of(prov);
             vms.push((vm, rate));
         }
-        self.push_event(now + done, Event::CloudVmsReady { app: app_id });
-        let shard = &mut self.shards[vc_id.0];
-        shard.pending.insert(
-            app_id,
+        self.push_event(now + lead + done, Event::CloudVmsReady { app });
+        self.shards[vc.0].pending.insert(
+            app,
             PendingAcquisition::CloudLease {
                 cloud,
                 vms,
                 speed,
-                existing_job: Some(job),
+                existing_job,
             },
         );
-        shard.apps.get_mut(&app_id).expect("app exists").placement = Placement::Cloud { cloud };
-        Escalation::Leased
     }
 
     /// Applies [`Effect::Place`]: the cross-shard half of an arrival.
@@ -1312,30 +1314,7 @@ impl Platform {
                     app.placement = Placement::Local;
                     self.push_event(now + base, Event::SubmitToFramework { app: app_id });
                 } else {
-                    self.fabric.bursts += nb;
-                    let vc_image = self.shards[vc_id.0].vc.image;
-                    let spec_shape = self.cfg.vm_spec;
-                    let c = &mut self.fabric.clouds[cloud.0 as usize];
-                    let speed = c.speed();
-                    let mut vms = Vec::with_capacity(nb as usize);
-                    let mut done = SimDuration::ZERO;
-                    for _ in 0..nb {
-                        let (vm, prov, rate) = c
-                            .begin_lease(vc_image, spec_shape, now)
-                            .expect("protocol only offers clouds that can lease");
-                        done = done.max_of(prov);
-                        vms.push((vm, rate));
-                    }
-                    self.push_event(now + base + done, Event::CloudVmsReady { app: app_id });
-                    self.shards[vc_id.0].pending.insert(
-                        app_id,
-                        PendingAcquisition::CloudLease {
-                            cloud,
-                            vms,
-                            speed,
-                            existing_job: None,
-                        },
-                    );
+                    self.begin_cloud_lease(now, app_id, cloud, nb, base, None);
                 }
             }
         }
@@ -1404,51 +1383,25 @@ impl Platform {
             next_app: self.next_app,
             aggregate: self.aggregate.clone(),
             agg_completion: self.agg_completion,
-            arrivals: self.arrivals.as_ref().map(|a| ArrivalCheckpoint {
-                next_seq: a.next_seq,
-                end_seq: a.end_seq,
-                emitted: a.emitted,
-            }),
+            arrivals: self.arrivals.as_ref().map(|a| a.cursor).unwrap_or_default(),
             parallel_runs: self.parallel_runs,
         }
     }
 
-    /// Rebuilds an engine from a checkpoint of a bulk-enqueued run.
+    /// Rebuilds an engine from a checkpoint, re-attaching a fresh
+    /// stream over the *same* workload the checkpointed run was given,
+    /// in the same arrival order (workloads are deterministic in their
+    /// spec); the already-dispatched prefix is skipped.
     ///
     /// # Panics
-    /// When the checkpointed run streamed its workload — resume those
-    /// with [`Self::from_checkpoint_streaming`] — or when the layout
-    /// differs from this build's (vet untrusted files with
-    /// [`EngineCheckpoint::check_format`] first).
-    pub fn from_checkpoint(cp: EngineCheckpoint) -> Self {
-        assert!(
-            cp.arrivals.is_none(),
-            "checkpoint streamed its workload; resume with from_checkpoint_streaming"
-        );
-        Self::restore(cp, None)
-    }
-
-    /// Rebuilds an engine from a checkpoint of a streamed run,
-    /// re-attaching a fresh iterator over the *same* workload
-    /// (workloads are deterministic in their generator seed); the
-    /// already-processed prefix is skipped. Panics like
-    /// [`Self::from_checkpoint`], with the streaming roles swapped.
-    pub fn from_checkpoint_streaming<I>(cp: EngineCheckpoint, workload: I) -> Self
+    /// When the layout differs from this build's (vet untrusted files
+    /// with [`EngineCheckpoint::check_format`] first) or the workload
+    /// is shorter than the checkpoint's cursor.
+    pub fn from_checkpoint<I>(cp: EngineCheckpoint, workload: I) -> Self
     where
         I: IntoIterator<Item = Submission>,
         I::IntoIter: Send + 'static,
     {
-        assert!(
-            cp.arrivals.is_some(),
-            "checkpoint did not stream its workload"
-        );
-        Self::restore(cp, Some(Box::new(workload.into_iter().fuse())))
-    }
-
-    fn restore(
-        cp: EngineCheckpoint,
-        workload: Option<Box<dyn Iterator<Item = Submission> + Send>>,
-    ) -> Self {
         let EngineCheckpoint {
             format,
             cfg,
@@ -1475,20 +1428,11 @@ impl Platform {
             .into_iter()
             .map(|s| VcShard::from_snapshot(s, policy))
             .collect();
-        let arrivals = arrivals.map(|a| {
-            let mut iter = workload.expect("streamed checkpoint resumes with its workload");
-            for _ in 0..a.emitted {
-                iter.next()
-                    .expect("resumed workload is shorter than the checkpoint cursor");
-            }
-            ArrivalSource {
-                iter,
-                head: None,
-                next_seq: a.next_seq,
-                end_seq: a.end_seq,
-                emitted: a.emitted,
-            }
-        });
+        let mut iter = workload.into_iter().fuse();
+        for _ in 0..arrivals.emitted {
+            iter.next()
+                .expect("resumed workload is shorter than the checkpoint cursor");
+        }
         let vc_kinds = cfg.vcs.iter().map(|v| v.kind).collect();
         Platform {
             cfg,
@@ -1508,7 +1452,11 @@ impl Platform {
             parallel_runs,
             aggregate,
             agg_completion,
-            arrivals,
+            arrivals: Some(ArrivalSource {
+                iter: Box::new(iter),
+                head: None,
+                cursor: arrivals,
+            }),
         }
     }
 

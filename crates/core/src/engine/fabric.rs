@@ -255,13 +255,9 @@ impl SharedFabric {
                         .expect("lease completes");
                 }
             }
-            Effect::Escalate { .. }
-            | Effect::LeaseRetry { .. }
-            | Effect::TransferStopped { .. }
-            | Effect::Retire { .. } => {
+            Effect::Escalate { .. } | Effect::TransferStopped { .. } | Effect::Retire { .. } => {
                 unreachable!(
-                    "escalations, lease retries, transfer batches and retirements are applied \
-                     by the executor"
+                    "escalations, transfer batches and retirements are applied by the executor"
                 )
             }
             Effect::ReturnStopped { .. } => {

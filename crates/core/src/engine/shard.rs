@@ -298,7 +298,7 @@ impl VcShard {
                 self.credit_batch(vms.len());
                 sink.emit(Effect::CloseLeases { cloud, vms });
             }
-            Event::LeaseRetry { app, attempt } => self.sla_verdict(now, app, Some(attempt), sink),
+            Event::LeaseRetry { app, attempt } => self.sla_verdict(now, app, attempt, sink),
         }
     }
 
@@ -849,24 +849,18 @@ impl VcShard {
     /// recorded locally and the check retires; everything else re-arms
     /// on the next global check tick.
     pub(crate) fn check_sla(&mut self, now: SimTime, app_id: AppId, sink: &mut EffectSink) {
-        self.sla_verdict(now, app_id, None, sink);
+        self.sla_verdict(now, app_id, 0, sink);
     }
 
-    /// The SLA decision surface behind both [`VcShard::check_sla`] and
-    /// the fault plane's [`crate::events::Event::LeaseRetry`]: identical
-    /// verdicts, but a retry re-asks the market through
-    /// [`Effect::LeaseRetry`] (carrying the attempt for the executor's
-    /// backoff budget) instead of [`Effect::Escalate`]. A retry whose
-    /// application recovered meanwhile — completed, dispatched with
-    /// margin, or mid-acquisition — simply falls through to the normal
-    /// retire/re-arm outcomes, ending the backoff chain.
-    fn sla_verdict(
-        &mut self,
-        now: SimTime,
-        app_id: AppId,
-        retry_attempt: Option<u32>,
-        sink: &mut EffectSink,
-    ) {
+    /// The SLA decision surface behind both [`VcShard::check_sla`]
+    /// (`attempt` 0) and the fault plane's
+    /// [`crate::events::Event::LeaseRetry`]: identical verdicts, with
+    /// the attempt carried in [`Effect::Escalate`] for the executor's
+    /// backoff budget. A retry whose application recovered meanwhile —
+    /// completed, dispatched with margin, or mid-acquisition — simply
+    /// falls through to the normal retire/re-arm outcomes, ending the
+    /// backoff chain.
+    fn sla_verdict(&mut self, now: SimTime, app_id: AppId, attempt: u32, sink: &mut EffectSink) {
         let Some(interval) = self.policy.check_interval else {
             return; // unmonitored deployment: nothing ever arms a check
         };
@@ -884,17 +878,11 @@ impl VcShard {
         {
             // The market decides; on failure the executor falls back to
             // the mark-or-re-arm below using `violated`.
-            match retry_attempt {
-                None => sink.emit(Effect::Escalate {
-                    app: app_id,
-                    violated: status.is_violated(),
-                }),
-                Some(attempt) => sink.emit(Effect::LeaseRetry {
-                    app: app_id,
-                    violated: status.is_violated(),
-                    attempt,
-                }),
-            }
+            sink.emit(Effect::Escalate {
+                app: app_id,
+                violated: status.is_violated(),
+                attempt,
+            });
             return;
         }
         if status.is_violated() {
@@ -1051,7 +1039,7 @@ mod tests {
     #[derive(Debug, PartialEq)]
     enum Expect {
         /// Hand the case to the cloud market, nothing else.
-        Escalate { violated: bool },
+        Escalate { violated: bool, attempt: u32 },
         /// Re-arm the controller on the global check grid.
         Rearm { due: u64 },
         /// Emit nothing and leave the application untouched.
@@ -1071,6 +1059,8 @@ mod tests {
         has_job: bool,
         /// Whether a multi-step acquisition is already in flight.
         pending: bool,
+        /// 0 for a controller check, else the lease-retry attempt.
+        attempt: u32,
         expect: Expect,
     }
 
@@ -1078,7 +1068,8 @@ mod tests {
     /// would have gone to the cloud market: the verdict needs
     /// attention, escalation is the configured policy, a framework job
     /// exists to act on, and no acquisition is already in flight.
-    /// Every other verdict resolves silently inside the shard.
+    /// Every other verdict resolves silently inside the shard. A lease
+    /// retry reaches the same verdict and carries its attempt.
     #[test]
     fn check_sla_escalates_exactly_when_the_market_would_act() {
         use ViolationPolicy::{EscalateToCloud, Report};
@@ -1091,6 +1082,7 @@ mod tests {
                 completed: true,
                 has_job: true,
                 pending: false,
+                attempt: 0,
                 expect: Expect::Retire,
             },
             Case {
@@ -1102,6 +1094,7 @@ mod tests {
                 completed: false,
                 has_job: true,
                 pending: false,
+                attempt: 0,
                 expect: Expect::Rearm { due: 120 },
             },
             Case {
@@ -1113,7 +1106,11 @@ mod tests {
                 completed: false,
                 has_job: true,
                 pending: false,
-                expect: Expect::Escalate { violated: false },
+                attempt: 0,
+                expect: Expect::Escalate {
+                    violated: false,
+                    attempt: 0,
+                },
             },
             Case {
                 name: "past-deadline job goes to the market flagged violated",
@@ -1123,7 +1120,25 @@ mod tests {
                 completed: false,
                 has_job: true,
                 pending: false,
-                expect: Expect::Escalate { violated: true },
+                attempt: 0,
+                expect: Expect::Escalate {
+                    violated: true,
+                    attempt: 0,
+                },
+            },
+            Case {
+                name: "a lease retry re-asks the market with its attempt",
+                policy: EscalateToCloud,
+                started: Some(200),
+                now: 200,
+                completed: false,
+                has_job: true,
+                pending: false,
+                attempt: 2,
+                expect: Expect::Escalate {
+                    violated: false,
+                    attempt: 2,
+                },
             },
             Case {
                 name: "at-risk without a framework job just re-arms",
@@ -1133,6 +1148,7 @@ mod tests {
                 completed: false,
                 has_job: false,
                 pending: false,
+                attempt: 0,
                 expect: Expect::Rearm { due: 210 },
             },
             Case {
@@ -1143,6 +1159,7 @@ mod tests {
                 completed: false,
                 has_job: true,
                 pending: true,
+                attempt: 0,
                 expect: Expect::Rearm { due: 210 },
             },
             Case {
@@ -1153,6 +1170,7 @@ mod tests {
                 completed: false,
                 has_job: true,
                 pending: false,
+                attempt: 0,
                 expect: Expect::Mark,
             },
             Case {
@@ -1163,6 +1181,7 @@ mod tests {
                 completed: false,
                 has_job: false,
                 pending: false,
+                attempt: 0,
                 expect: Expect::Mark,
             },
         ];
@@ -1186,14 +1205,22 @@ mod tests {
                     .insert(id, PendingAcquisition::Transfer { vms: Vec::new() });
             }
             let mut sink = EffectSink::new(t(case.now), VcId(0), 1);
-            shard.check_sla(t(case.now), id, &mut sink);
+            if case.attempt == 0 {
+                shard.check_sla(t(case.now), id, &mut sink);
+            } else {
+                shard.sla_verdict(t(case.now), id, case.attempt, &mut sink);
+            }
             let effects = sink.into_effects();
             match case.expect {
-                Expect::Escalate { violated } => {
+                Expect::Escalate { violated, attempt } => {
                     assert_eq!(effects.len(), 1, "{}: exactly one effect", case.name);
                     assert_eq!(
                         effects[0].effect,
-                        Effect::Escalate { app: id, violated },
+                        Effect::Escalate {
+                            app: id,
+                            violated,
+                            attempt
+                        },
                         "{}",
                         case.name
                     );

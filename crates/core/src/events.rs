@@ -26,13 +26,14 @@ use crate::ids::{AppId, VcId};
 pub enum Event {
     /// A user submission reaches its Client Manager. The executor
     /// resolves the target VC (and pre-assigns the `AppId`) from the
-    /// deployment config at enqueue/stream-dispatch time, so the event
-    /// lands directly in the owning shard's queue: type-checking,
-    /// negotiation rounds and app registration all run in-shard, and
-    /// only the cross-shard placement (Algorithm 1) travels back to the
-    /// executor as an [`crate::engine::Effect`].
+    /// deployment config when the arrival stream dispatches the
+    /// submission at its instant, so the event lands directly in the
+    /// owning shard's queue: type-checking, negotiation rounds and app
+    /// registration all run in-shard, and only the cross-shard
+    /// placement (Algorithm 1) travels back to the executor as an
+    /// [`crate::engine::Effect`].
     Arrival {
-        /// The pre-assigned application id (routing order).
+        /// The pre-assigned application id (arrival order).
         app: AppId,
         /// The user submission.
         sub: Submission,

@@ -264,7 +264,7 @@ fn checkpoint_inside_an_outage_window_resumes_byte_identically() {
     assert!(more, "the run must still be in flight mid-outage");
     let wire = serde_json::to_string(&interrupted.checkpoint()).expect("checkpoint serializes");
     let cp: EngineCheckpoint = serde_json::from_str(&wire).expect("checkpoint deserializes");
-    let mut resumed = Platform::from_checkpoint(cp);
+    let mut resumed = Platform::from_checkpoint(cp, workload);
     resumed.run_to_completion();
     let actual = serde_json::to_string(&resumed.finalize()).expect("report serializes");
 

@@ -292,3 +292,22 @@ fn shard_event_counts_cover_all_events() {
     assert_eq!(total, report.events_processed);
     assert!(report.events_processed > 0);
 }
+
+/// A workload is one arrival stream: an unsorted list is stable-sorted
+/// by arrival instant, so `AppId`s follow arrival order, not input
+/// order.
+#[test]
+fn app_ids_follow_arrival_order() {
+    let report =
+        Platform::new(small_cfg("meryn")).run([batch_sub(50, 1, 100), batch_sub(5, 0, 100)]);
+    let vcs: Vec<usize> = report.apps.iter().map(|a| a.vc.0).collect();
+    assert_eq!(vcs, [0, 1], "app 0 is the earlier arrival");
+}
+
+#[test]
+#[should_panic(expected = "one workload per run")]
+fn a_second_workload_is_refused() {
+    let mut platform = Platform::new(small_cfg("meryn"));
+    platform.enqueue_workload([batch_sub(5, 0, 100)]);
+    platform.enqueue_workload([batch_sub(10, 1, 100)]);
+}

@@ -124,9 +124,9 @@ fn run_case(case: &Case, threads: usize) -> (String, u64) {
 }
 
 /// The hyperscale configuration of the same case: aggregate reporting,
-/// arrivals streamed (and pumped into the shard queues with their
-/// pre-reserved tag blocks) instead of bulk-enqueued. Since PR 10 the
-/// admission those arrivals trigger runs in-shard too.
+/// arrivals attached as an iterator in arrival order (pumped into the
+/// shard queues at their instants with their pre-reserved tags). The
+/// admission those arrivals trigger runs in-shard.
 fn streamed_platform(case: &Case) -> Platform {
     let workload = case_stream(case);
     let mut platform = Platform::new(case_cfg(case, false)).with_report_mode(ReportMode::Aggregate);
@@ -165,7 +165,7 @@ fn run_streamed_resumed(case: &Case, threads: usize, stop_secs: u64) -> (String,
             .count();
         let json = serde_json::to_string(&platform.checkpoint()).expect("checkpoint serializes");
         let cp: EngineCheckpoint = serde_json::from_str(&json).expect("checkpoint parses");
-        let mut resumed = Platform::from_checkpoint_streaming(cp, case_stream(case));
+        let mut resumed = Platform::from_checkpoint(cp, case_stream(case));
         resumed.run_to_completion();
         let report = serde_json::to_string(&resumed.finalize()).expect("report serializes");
         (report, negotiating)

@@ -12,12 +12,9 @@
 use std::io;
 use std::time::Instant;
 
-use meryn_core::report::ReportMode;
-use meryn_core::Platform;
-use meryn_workloads::generators::{GeneratedChunks, DEFAULT_CHUNK};
 use serde::Serialize;
 
-use crate::runner::expand_variants;
+use crate::runner::{build_run, expand_variants};
 use crate::spec::Scenario;
 
 /// One VC shard queue's share of a run's events.
@@ -41,7 +38,7 @@ pub struct BenchVariant {
     /// Same-instant cross-shard runs the executor fanned out to worker
     /// threads.
     pub parallel_runs: u64,
-    /// Wall-clock seconds for the run (enqueue + drain + finalize).
+    /// Wall-clock seconds for the run (deploy + drain + finalize).
     pub wall_secs: f64,
     /// `events / wall_secs`.
     pub events_per_sec: f64,
@@ -144,11 +141,12 @@ impl BenchReport {
 /// Times every variant's base-seed run of `scenario` once.
 ///
 /// Replicas are ignored and no report sections are assembled, but the
-/// platform is configured exactly as [`crate::runner::run_scenario`]
-/// would configure it — including series recording gated on
-/// `outputs.series` — so the measured run is the production one. Wall
-/// clock wraps enqueue + event loop + finalize; workload
-/// materialization is excluded.
+/// platform is built exactly as [`crate::runner::run_scenario`] builds
+/// it — including series recording gated on `outputs.series` — so the
+/// measured run is the production one. Wall clock wraps deployment
+/// (with the workload's arrival stream: a non-`Generated` workload is
+/// materialized there; a `Generated` one is generated as the run
+/// pulls it) + event loop + finalize.
 ///
 /// # Errors
 /// As [`crate::runner::run_scenario`]: a spec [`Scenario::check`]
@@ -157,39 +155,12 @@ impl BenchReport {
 pub fn bench_scenario(scenario: &Scenario) -> io::Result<BenchReport> {
     crate::policies::install();
     let base_seed = scenario.sweep.base_seed;
-    let record_series = scenario.outputs.series;
-    let aggregate = scenario.outputs.aggregate;
     let mut variants_out = Vec::new();
     let mut total_events = 0u64;
     let mut total_wall = 0.0f64;
     for variant in expand_variants(scenario)? {
-        // Aggregate `Generated` scenarios stream their arrivals in
-        // production (`run_scenario` does the same), so the bench
-        // streams too — generation is then part of the timed run, and
-        // the measured RSS reflects the O(1) arrival memory.
-        let stream = aggregate
-            .then(|| scenario.workload.streamable(&variant.modifier))
-            .flatten();
-        let workload = match &stream {
-            Some(_) => Vec::new(),
-            None => scenario.workload.materialize(&variant.modifier)?,
-        };
-        let cfg = variant.cfg.clone().with_seed(base_seed);
         let start = Instant::now();
-        let mut platform = Platform::new(cfg).with_series_recording(record_series);
-        if aggregate {
-            platform = platform.with_report_mode(ReportMode::Aggregate);
-        }
-        match stream {
-            Some((gen_cfg, seed)) => {
-                let count = gen_cfg.count as u64;
-                let subs = GeneratedChunks::new(&gen_cfg, seed, DEFAULT_CHUNK).submissions();
-                platform
-                    .stream_workload(count, subs)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
-            }
-            None => platform.enqueue_workload(&workload),
-        }
+        let mut platform = build_run(scenario, &variant, base_seed, None)?;
         platform.run_to_completion();
         let events_by_queue: Vec<QueueEvents> = platform
             .shard_event_counts()

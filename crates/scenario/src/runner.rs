@@ -18,12 +18,12 @@ use meryn_core::report::{compare, ReportMode, RunReport};
 use meryn_core::{EngineCheckpoint, Platform, VcId};
 use meryn_sim::metrics::SeriesSet;
 use meryn_sim::{SimDuration, SimRng};
-use meryn_workloads::generators::{GeneratedChunks, GeneratorConfig, DEFAULT_CHUNK};
+use meryn_workloads::generators::{GeneratedChunks, DEFAULT_CHUNK};
 use meryn_workloads::Submission;
 use serde::Serialize;
 
 use crate::paper::{paper_range, TABLE1_CASES};
-use crate::spec::{Scenario, WorkloadModifier};
+use crate::spec::{Scenario, WorkloadModifier, WorkloadSpec};
 use crate::sweep::{case_sweep, fanout, ReplicaStats};
 
 /// One expanded sweep variant: a concrete platform config plus the
@@ -79,6 +79,76 @@ pub(crate) fn expand_variants(scenario: &Scenario) -> io::Result<Vec<Variant>> {
     Ok(variants)
 }
 
+/// The first expanded variant: the one the single-run checkpoint
+/// workflow operates on.
+fn first_variant(scenario: &Scenario) -> io::Result<Variant> {
+    crate::policies::install();
+    Ok(expand_variants(scenario)?
+        .into_iter()
+        .next()
+        .expect("a scenario always expands to at least one variant"))
+}
+
+/// A workload's arrival stream and its size. The one place that decides
+/// how a workload reaches the engine: a `Generated` workload streams
+/// from its seeded generator (nondecreasing arrivals, never
+/// materialized); any other kind streams its materialized,
+/// arrival-sorted list.
+///
+/// # Errors
+/// An unreadable `TraceFile`.
+fn arrivals(
+    workload: &WorkloadSpec,
+    modifier: &WorkloadModifier,
+) -> io::Result<(u64, Box<dyn Iterator<Item = Submission> + Send>)> {
+    Ok(match workload.streamable(modifier) {
+        Some((cfg, seed)) => (
+            cfg.count as u64,
+            Box::new(GeneratedChunks::new(&cfg, seed, DEFAULT_CHUNK).submissions()),
+        ),
+        None => {
+            let subs = workload.materialize(modifier)?;
+            (subs.len() as u64, Box::new(subs.into_iter()))
+        }
+    })
+}
+
+/// Builds the run of `variant` at `seed` with the variant's workload
+/// attached as its arrival stream: deployed with the scenario's series
+/// recording and report mode — or, given a checkpoint of that run,
+/// restored from it (the checkpoint carries both). Every scenario run
+/// goes through here: [`run_scenario`]'s jobs, the single run and its
+/// resume, and [`crate::bench::bench_scenario`].
+///
+/// # Errors
+/// As [`arrivals`].
+pub(crate) fn build_run(
+    scenario: &Scenario,
+    variant: &Variant,
+    seed: u64,
+    resume: Option<EngineCheckpoint>,
+) -> io::Result<Platform> {
+    if let Some(cp) = resume {
+        let (_, workload) = arrivals(&scenario.workload, &variant.modifier)?;
+        return Ok(Platform::from_checkpoint(cp, workload));
+    }
+    let cfg = variant.cfg.clone().with_seed(seed);
+    // Curve recording is costly bookkeeping on long runs; only sample
+    // the used-VM series when the requested outputs emit them. Peaks
+    // (the Fig 5 headline numbers) are tracked either way.
+    let mut platform = Platform::new(cfg).with_series_recording(scenario.outputs.series);
+    if scenario.outputs.aggregate {
+        platform = platform.with_report_mode(ReportMode::Aggregate);
+    }
+    // Deploy first, then build the stream: allocating the workload
+    // before the shards' queues made glibc trim the heap between
+    // back-to-back set-ups (hyperscale-ci on a 2-vCPU Xeon: 4.2 ms
+    // instead of 0.5 ms per set-up).
+    let (count, workload) = arrivals(&scenario.workload, &variant.modifier)?;
+    let Ok(()) = platform.stream_workload(count, workload);
+    Ok(platform)
+}
+
 impl Scenario {
     /// Checks the spec the way [`run_scenario`] does before any job
     /// runs, without running anything.
@@ -92,6 +162,41 @@ impl Scenario {
     pub fn check(&self) -> io::Result<()> {
         crate::policies::install();
         expand_variants(self).map(drop)
+    }
+
+    /// Checks that `cp` was taken from this scenario's single run (see
+    /// [`single_run_start`]), so [`single_run_resume`] can re-derive
+    /// its workload: the checkpoint's platform config must be the first
+    /// variant's at the base seed, and its workload size the variant's.
+    ///
+    /// # Errors
+    /// What [`Self::check`] rejects, an unreadable `TraceFile`, or
+    /// `InvalidInput` naming the mismatch.
+    pub fn check_checkpoint(&self, cp: &EngineCheckpoint) -> io::Result<()> {
+        let variant = first_variant(self)?;
+        let mismatch = |what: String| {
+            io::Error::new(
+                io::ErrorKind::InvalidInput,
+                format!(
+                    "the checkpoint is not from this spec's first variant ({}): {what}",
+                    variant.label
+                ),
+            )
+        };
+        if cp.cfg != variant.cfg.clone().with_seed(self.sweep.base_seed) {
+            return Err(mismatch(format!(
+                "its platform config differs from the variant's at base seed {:#x}",
+                self.sweep.base_seed
+            )));
+        }
+        let (count, _) = arrivals(&self.workload, &variant.modifier)?;
+        if cp.arrival_count() != count {
+            return Err(mismatch(format!(
+                "its workload holds {} submissions, the variant's {count}",
+                cp.arrival_count()
+            )));
+        }
+        Ok(())
     }
 }
 
@@ -309,86 +414,23 @@ pub fn run_scenario(scenario: &Scenario) -> io::Result<ScenarioReport> {
 
     // One job per (variant, seed): the base-seed headline run first
     // (when needed), then the derived replica streams. Flat fanout,
-    // order preserved. Materialized workloads are memoized per
-    // modifier, so a policy-only sweep over a trace file reads and
-    // parses it once, not once per variant. Aggregate scenarios with a
-    // `Generated` workload never materialize at all: each job streams
-    // its submissions straight from the seeded generator, so arrival
-    // memory is O(1) even at hyperscale counts (the stream and the
-    // sorted vector are byte-identical — generator arrivals are
-    // nondecreasing).
-    enum JobInput {
-        Batch(std::sync::Arc<Vec<Submission>>),
-        Stream(GeneratorConfig, u64),
-    }
-    let streamed = outputs.aggregate
-        && matches!(
-            scenario.workload,
-            crate::spec::WorkloadSpec::Generated { .. }
-        );
-    let mut materialized: Vec<(WorkloadModifier, std::sync::Arc<Vec<Submission>>)> = Vec::new();
-    let mut jobs: Vec<(PlatformConfig, JobInput)> = Vec::new();
+    // order preserved; each job builds its own arrival stream.
+    let mut jobs: Vec<(&Variant, u64)> = Vec::new();
     for variant in &variants {
-        let input = if streamed {
-            let (gen_cfg, seed) = scenario
-                .workload
-                .streamable(&variant.modifier)
-                .expect("streamed implies a Generated workload");
-            JobInput::Stream(gen_cfg, seed)
-        } else {
-            let workload = match materialized.iter().find(|(m, _)| *m == variant.modifier) {
-                Some((_, w)) => std::sync::Arc::clone(w),
-                None => {
-                    let w = std::sync::Arc::new(scenario.workload.materialize(&variant.modifier)?);
-                    materialized.push((variant.modifier, std::sync::Arc::clone(&w)));
-                    w
-                }
-            };
-            JobInput::Batch(workload)
-        };
-        let clone_input = |input: &JobInput| match input {
-            JobInput::Batch(w) => JobInput::Batch(std::sync::Arc::clone(w)),
-            JobInput::Stream(c, s) => JobInput::Stream(c.clone(), *s),
-        };
         if with_base {
-            jobs.push((
-                variant.cfg.clone().with_seed(base_seed),
-                clone_input(&input),
-            ));
+            jobs.push((variant, base_seed));
         }
         for i in 0..replicas {
-            jobs.push((
-                variant
-                    .cfg
-                    .clone()
-                    .with_seed(SimRng::stream_seed(base_seed, i)),
-                clone_input(&input),
-            ));
+            jobs.push((variant, SimRng::stream_seed(base_seed, i)));
         }
     }
-    // Curve recording is costly bookkeeping on long runs; only sample
-    // the used-VM series when the requested outputs actually emit them.
-    // Peaks (the Fig 5 headline numbers) are tracked either way.
-    let record_series = outputs.series;
-    let aggregate = outputs.aggregate;
-    let reports: Vec<RunReport> = fanout(jobs, |(cfg, input)| {
-        let mut platform = Platform::new(cfg).with_series_recording(record_series);
-        if aggregate {
-            platform = platform.with_report_mode(ReportMode::Aggregate);
-        }
-        match input {
-            JobInput::Batch(workload) => platform.enqueue_workload(workload.iter()),
-            JobInput::Stream(gen_cfg, seed) => {
-                let count = gen_cfg.count as u64;
-                let subs = GeneratedChunks::new(&gen_cfg, seed, DEFAULT_CHUNK).submissions();
-                platform
-                    .stream_workload(count, subs)
-                    .expect("a fresh platform has no stream attached");
-            }
-        }
+    let reports = fanout(jobs, |(variant, seed)| {
+        let mut platform = build_run(scenario, variant, seed, None)?;
         platform.run_to_completion();
-        platform.finalize()
-    });
+        Ok(platform.finalize())
+    })
+    .into_iter()
+    .collect::<io::Result<Vec<RunReport>>>()?;
 
     let per_variant = replicas as usize + usize::from(with_base);
     let mut variant_reports = Vec::with_capacity(variants.len());
@@ -457,74 +499,33 @@ pub fn run_scenario(scenario: &Scenario) -> io::Result<ScenarioReport> {
 }
 
 /// Prepares the *single run* the checkpoint workflow operates on: the
-/// base-seed run of the scenario's first expanded variant, with the
-/// scenario's report mode and workload delivery (streamed for
-/// aggregate `Generated` scenarios, enqueued otherwise) applied
-/// exactly as [`run_scenario`] would. Drive it with
+/// base-seed run of the scenario's first expanded variant, configured
+/// exactly as [`run_scenario`] configures it. Drive it with
 /// [`Platform::run_until`] + [`Platform::checkpoint`], or straight to
 /// completion for the uninterrupted comparator.
 ///
 /// # Errors
 /// As [`run_scenario`], before the platform is built.
 pub fn single_run_start(scenario: &Scenario) -> io::Result<Platform> {
-    crate::policies::install();
-    let variant = expand_variants(scenario)?
-        .into_iter()
-        .next()
-        .expect("a scenario always expands to at least one variant");
-    let cfg = variant.cfg.clone().with_seed(scenario.sweep.base_seed);
-    let mut platform = Platform::new(cfg).with_series_recording(scenario.outputs.series);
-    if scenario.outputs.aggregate {
-        platform = platform.with_report_mode(ReportMode::Aggregate);
-    }
-    match scenario
-        .outputs
-        .aggregate
-        .then(|| scenario.workload.streamable(&variant.modifier))
-        .flatten()
-    {
-        Some((gen_cfg, seed)) => {
-            let count = gen_cfg.count as u64;
-            let subs = GeneratedChunks::new(&gen_cfg, seed, DEFAULT_CHUNK).submissions();
-            platform
-                .stream_workload(count, subs)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
-        }
-        None => {
-            let workload = scenario.workload.materialize(&variant.modifier)?;
-            platform.enqueue_workload(&workload);
-        }
-    }
-    Ok(platform)
+    let variant = first_variant(scenario)?;
+    build_run(scenario, &variant, scenario.sweep.base_seed, None)
 }
 
-/// Resumes the [`single_run_start`] run from a checkpoint. Streaming
-/// checkpoints re-derive the submission stream from the scenario's
-/// generator (the workload is deterministic from its seed; the
-/// checkpoint only carries the cursor); batch checkpoints carry their
-/// remaining arrivals in the shard queues and need nothing else.
-/// Resuming and running to completion is byte-identical to the
-/// uninterrupted run.
+/// Resumes the [`single_run_start`] run from a checkpoint, re-deriving
+/// its arrival stream from the scenario (the workload is deterministic
+/// in its spec; the checkpoint carries only the cursor). Resuming and
+/// running to completion is byte-identical to the uninterrupted run.
 ///
 /// # Panics
-/// On a spec [`Scenario::check`] rejects, or a streaming checkpoint
-/// paired with a workload that is not `Generated`.
+/// When [`Scenario::check_checkpoint`] rejects the pair, with its
+/// message.
 pub fn single_run_resume(scenario: &Scenario, cp: EngineCheckpoint) -> Platform {
-    crate::policies::install();
-    if !cp.needs_workload() {
-        return Platform::from_checkpoint(cp);
-    }
-    let variant = expand_variants(scenario)
-        .unwrap_or_else(|e| panic!("invalid scenario: {e}"))
-        .into_iter()
-        .next()
-        .expect("a scenario always expands to at least one variant");
-    let (gen_cfg, seed) = scenario
-        .workload
-        .streamable(&variant.modifier)
-        .expect("checkpoint streams arrivals but the scenario workload is not Generated");
-    let subs = GeneratedChunks::new(&gen_cfg, seed, DEFAULT_CHUNK).submissions();
-    Platform::from_checkpoint_streaming(cp, subs)
+    let resume = || {
+        scenario.check_checkpoint(&cp)?;
+        let variant = first_variant(scenario)?;
+        build_run(scenario, &variant, scenario.sweep.base_seed, Some(cp))
+    };
+    resume().unwrap_or_else(|e| panic!("cannot resume {}: {e}", scenario.name))
 }
 
 impl ScenarioReport {
@@ -883,6 +884,16 @@ mod tests {
         s.sweep.replicas = 0;
         let report = run_scenario(&s).unwrap();
         assert!(report.variants[0].replicas.is_none());
+    }
+
+    #[test]
+    fn an_unreadable_trace_is_an_error_not_a_panic() {
+        let mut s = small_scenario();
+        s.workload = WorkloadSpec::TraceFile {
+            path: "/nonexistent/meryn-no-such-trace.json".into(),
+        };
+        let err = run_scenario(&s).expect_err("the trace cannot be read");
+        assert_eq!(err.kind(), io::ErrorKind::NotFound);
     }
 
     #[test]

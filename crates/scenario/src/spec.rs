@@ -195,10 +195,10 @@ impl WorkloadSpec {
     }
 
     /// For `Generated` workloads, the generator config (modifiers
-    /// applied) and seed — the inputs of a *streaming* run. Generator
-    /// output is nondecreasing by arrival, so streaming it is
-    /// byte-identical to enqueueing [`Self::materialize`]'s vector.
-    /// `None` for every other workload kind.
+    /// applied) and seed, from which a run streams its arrivals.
+    /// Generator output is nondecreasing by arrival, so the stream is
+    /// [`Self::materialize`]'s sorted vector, item for item. `None` for
+    /// every other workload kind.
     pub fn streamable(&self, modifier: &WorkloadModifier) -> Option<(GeneratorConfig, u64)> {
         match self {
             WorkloadSpec::Generated { config, seed } => {
@@ -462,11 +462,11 @@ pub struct OutputSpec {
     #[serde(default)]
     pub table1_samples: Option<u64>,
     /// Run in `ReportMode::Aggregate`: applications retire into per-VC
-    /// running totals as they complete, ledger entries are dropped at
-    /// charge time and `Generated` workloads stream their arrivals —
-    /// memory stays O(live) instead of O(history). Required for
-    /// hyperscale submission counts. Placements and summaries still
-    /// work (from the aggregates); per-app listings do not.
+    /// running totals as they complete and ledger entries are dropped
+    /// at charge time — with arrivals streamed in either mode, memory
+    /// stays O(live) instead of O(history). Required for hyperscale
+    /// submission counts. Placements and summaries still work (from the
+    /// aggregates); per-app listings do not.
     #[serde(default)]
     pub aggregate: bool,
 }

@@ -20,9 +20,9 @@
 //!   [`TICK_MS`]-wide tick of near-future time — pushing is an append,
 //!   and each bucket is sorted once when the clock reaches it;
 //! * a sorted **overflow** level (a binary min-heap) for events beyond
-//!   the bucket horizon (~70 simulated minutes) — bulk workload
-//!   arrivals spread over days land here and migrate into buckets as
-//!   the window slides, so they never tax the per-event hot path.
+//!   the bucket horizon (~70 simulated minutes) — far-future events
+//!   such as long job completions land here and migrate into buckets
+//!   as the window slides, so they never tax the per-event hot path.
 //!
 //! Pop order is exactly nondecreasing `(due, seq)` — provably identical
 //! to the previous `BinaryHeap<Scheduled>` implementation (the property
@@ -144,19 +144,14 @@ impl<E> EventQueue<E> {
 
     /// Creates an empty queue with room for `cap` pending events.
     ///
-    /// The capacity pre-sizes the far-future level, where bulk-enqueued
-    /// workload arrivals accumulate; near-future buckets grow on demand.
+    /// The capacity pre-sizes the far-future level, where events pushed
+    /// beyond the bucket horizon wait; near-future buckets grow on
+    /// demand.
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
             overflow: BinaryHeap::with_capacity(cap),
             ..Self::new()
         }
-    }
-
-    /// Reserves room for at least `additional` more pending events (see
-    /// [`EventQueue::with_capacity`] for what level this pre-sizes).
-    pub fn reserve(&mut self, additional: usize) {
-        self.overflow.reserve(additional);
     }
 
     /// The current simulation instant: the due time of the most recently
@@ -236,10 +231,11 @@ impl<E> EventQueue<E> {
     /// an engine's per-shard queues) share one global ordering,
     /// a single external counter hands out the tags and the queues are
     /// merged by [`EventQueue::peek_key`]. Tags may arrive out of order
-    /// — a streamed-arrival block reserves its tags up front and is
-    /// dispatched later, after larger runtime tags already entered the
-    /// queue — but each `(due, seq)` pair is globally unique and every
-    /// level orders by the full pair, so placement stays exact. The
+    /// — a workload's arrival stream reserves its tags up front and
+    /// dispatches each arrival at its instant, after larger runtime tags
+    /// already entered the queue — but each `(due, seq)` pair is
+    /// globally unique and every level orders by the full pair, so
+    /// placement stays exact. The
     /// only obligation on the caller is the same as [`EventQueue::push`]'s:
     /// never schedule below an already-popped `(due, seq)`.
     pub fn push_tagged(&mut self, due: SimTime, seq: u64, event: E) {
@@ -715,9 +711,8 @@ mod tests {
     }
 
     #[test]
-    fn with_capacity_and_reserve_accept_bulk_loads() {
+    fn with_capacity_accepts_bulk_loads() {
         let mut q = EventQueue::with_capacity(1000);
-        q.reserve(1000);
         for i in 0..1000u64 {
             q.push(SimTime::from_secs(i * 3600), i);
         }

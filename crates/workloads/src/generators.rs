@@ -178,8 +178,9 @@ impl GeneratorConfig {
 
 /// Default batch size of [`generate_chunks`] / [`GeneratedChunks`]:
 /// large enough to amortize per-batch overheads, small enough that a
-/// streaming consumer (e.g. `Platform::enqueue_workload`) never holds
-/// more than a sliver of a 100k-submission workload in flight.
+/// streaming consumer (e.g. `Platform::stream_workload`, which pulls
+/// each arrival as the run reaches its instant) never holds more than a
+/// sliver of a 100k-submission workload in flight.
 pub const DEFAULT_CHUNK: usize = 4096;
 
 /// A streaming, batched workload generator.
@@ -243,7 +244,8 @@ impl GeneratedChunks {
     }
 
     /// Flattens the stream into single submissions with an exact
-    /// `size_hint`, for direct feeding into `enqueue_workload`.
+    /// `size_hint`, in arrival order — the arrival stream
+    /// `Platform::stream_workload` takes.
     pub fn submissions(self) -> impl Iterator<Item = Submission> {
         let total = self.remaining();
         let mut chunks = self;

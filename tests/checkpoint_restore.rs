@@ -2,12 +2,12 @@
 //!
 //! A checkpoint is a serde snapshot of the complete engine state —
 //! per-VC shard state machines, the shared fabric (pool, clouds,
-//! ledger, metrics, RNG stream positions), the control and shard
-//! queues and the streaming-arrival cursor. The contract pinned here:
-//! resuming from a checkpoint taken at *any* instant reproduces the
-//! uninterrupted run's report **byte for byte**, at any thread count,
-//! through a JSON round-trip of the checkpoint itself; and feeding a
-//! generated workload through the O(1)-memory streaming path is
+//! ledger, metrics, RNG stream positions), the shard queues and the
+//! arrival stream's cursor. The contract pinned here: resuming from a
+//! checkpoint taken at *any* instant, with the same workload handed
+//! back, reproduces the uninterrupted run's report **byte for byte**,
+//! at any thread count, through a JSON round-trip of the checkpoint
+//! itself; and streaming a generated workload from its generator is
 //! byte-identical to enqueueing the materialized vector.
 
 use meryn_core::config::{PlatformConfig, VcConfig};
@@ -63,7 +63,7 @@ fn resumed_json(threads: usize, stop_secs: u64) -> String {
         // not just a same-process clone.
         let json = serde_json::to_string(&platform.checkpoint()).expect("checkpoint serializes");
         let cp: EngineCheckpoint = serde_json::from_str(&json).expect("checkpoint parses");
-        let mut resumed = Platform::from_checkpoint(cp);
+        let mut resumed = Platform::from_checkpoint(cp, small_workload());
         resumed
             .audit_invariants()
             .expect("restored fabric passes the conservation audit");
@@ -119,8 +119,8 @@ fn streamed_arrivals_match_the_batch_enqueued_run() {
     let mut streamed = single_run_start(&s).expect("generated workloads need no files");
     streamed.run_to_completion();
     let streamed = serde_json::to_string(&streamed.finalize()).unwrap();
-    // Comparator: the same submissions fully materialized and
-    // enqueued up front, same report mode.
+    // Comparator: the same submissions materialized into a sorted list
+    // and handed over with `enqueue_workload`, same report mode.
     let workload = s
         .workload
         .materialize(&WorkloadModifier::default())
@@ -146,10 +146,6 @@ fn streaming_checkpoint_resumes_mid_stream() {
     platform.run_until(SimTime::from_secs(3_000));
     let json = serde_json::to_string(&platform.checkpoint()).unwrap();
     let cp: EngineCheckpoint = serde_json::from_str(&json).unwrap();
-    assert!(
-        cp.needs_workload(),
-        "a mid-stream checkpoint must demand its workload back"
-    );
     let mut resumed = single_run_resume(&s, cp);
     resumed
         .audit_invariants()
