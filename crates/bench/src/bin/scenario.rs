@@ -99,7 +99,7 @@ fn main() {
     let mut bench = false;
     let mut single = false;
     let mut checkpoint_path: Option<String> = None;
-    let mut checkpoint_at: Option<u64> = None;
+    let mut checkpoint_at: Option<SimTime> = None;
     let mut resume_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -119,8 +119,16 @@ fn main() {
                 Some(path) => checkpoint_path = Some(path),
                 None => usage(),
             },
-            "--checkpoint-at" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(secs) => checkpoint_at = Some(secs),
+            "--checkpoint-at" => match args.next().and_then(|s| s.parse::<u64>().ok()) {
+                // Simulated time counts milliseconds in a u64: reject
+                // an instant it cannot hold instead of wrapping it.
+                Some(secs) => match secs.checked_mul(1000) {
+                    Some(ms) => checkpoint_at = Some(SimTime::from_millis(ms)),
+                    None => fail(format!(
+                        "--checkpoint-at {secs} s is past the last representable instant ({} s)",
+                        u64::MAX / 1000
+                    )),
+                },
                 None => usage(),
             },
             "--resume" => match args.next() {
@@ -155,9 +163,9 @@ fn main() {
         return;
     }
     if let Some(cp_path) = checkpoint_path {
-        let Some(secs) = checkpoint_at else { usage() };
+        let Some(stop) = checkpoint_at else { usage() };
         let mut platform = start_single_run(&scenario);
-        let more = platform.run_until(SimTime::from_secs(secs));
+        let more = platform.run_until(stop);
         let cp = platform.checkpoint();
         let mut json = serde_json::to_string(&cp).expect("checkpoint serializes");
         json.push('\n');

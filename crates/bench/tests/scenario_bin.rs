@@ -178,6 +178,30 @@ fn checkpoint_to_unwritable_path_exits_2_with_diagnostic() {
     );
 }
 
+#[test]
+fn checkpoint_at_past_the_time_range_exits_2_with_diagnostic() {
+    let spec = spec_path("overflow");
+    let cp = spec.with_file_name("overflow-checkpoint.json");
+    // u64::MAX / 1000 + 1 seconds: the first count whose milliseconds
+    // overflow the simulated clock.
+    let (code, stderr) = run(scenario_bin()
+        .arg(&spec)
+        .arg("--checkpoint")
+        .arg(&cp)
+        .args(["--checkpoint-at", "18446744073709552"]));
+    assert_eq!(
+        code,
+        Some(2),
+        "overflowing --checkpoint-at → exit 2: {stderr}"
+    );
+    assert!(
+        stderr.contains("error:") && stderr.contains("--checkpoint-at"),
+        "diagnostic names the flag: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "no panic backtrace: {stderr}");
+    assert!(!cp.exists(), "no checkpoint is written");
+}
+
 /// Checkpoints the spec at `stem` one simulated second in and returns
 /// the checkpoint's path.
 fn write_checkpoint(spec: &Path, stem: &str) -> PathBuf {

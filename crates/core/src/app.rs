@@ -65,6 +65,13 @@ pub struct Application {
     /// Times this application was suspended to lend its VMs.
     pub suspensions: u32,
     /// First instant the controller saw the SLA violated, if ever.
+    ///
+    /// Under [`crate::config::ViolationPolicy::Report`] the controller
+    /// wakes once, at the first check-grid instant after the deadline,
+    /// so this is that instant if the application had not completed
+    /// before it, and `None` otherwise. An application completing
+    /// exactly on that instant counts as detected: its check was armed
+    /// at admission, so the check's tag precedes the completion's.
     pub violation_detected: Option<SimTime>,
 }
 

@@ -276,8 +276,11 @@ pub struct PlatformConfig {
     pub latencies: Latencies,
     /// Maximum SLA negotiation rounds before rejecting a submission.
     pub max_negotiation_rounds: u32,
-    /// Period of Application Controller SLA checks; `None` disables the
-    /// periodic monitor (violations are still assessed at completion).
+    /// Spacing of the global grid Application Controller SLA checks
+    /// land on: an escalating controller checks at every tick, a
+    /// reporting one once, at the first tick past its deadline. `None`
+    /// disables the monitor (violations are still assessed at
+    /// completion).
     pub controller_check_interval: Option<SimDuration>,
     /// What to do when a queued application's SLA is reported at risk.
     pub violation_policy: ViolationPolicy,

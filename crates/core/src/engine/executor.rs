@@ -11,7 +11,10 @@
 //! engine pre-routes each submission to its VC from the deployment
 //! config and the shard type-checks, negotiates and registers the
 //! application — [`VcShard`]'s arrival handler), framework hand-off,
-//! job completion, SLA checks ([`VcShard::check_sla`]) and the
+//! job completion, SLA checks ([`VcShard::check_sla`]; the shard arms
+//! each application's controller at admission, on the global check
+//! grid — an escalating controller polls every tick, a reporting one
+//! wakes once, at the first tick past its deadline) and the
 //! coalesced VM choreography down to the lease closes that end a cloud
 //! burst (transfer/return/lease/release batches expand inside their
 //! shard and send the pool and market work back as effects). The
@@ -874,8 +877,9 @@ impl Platform {
     /// application into the run aggregates and drops its per-app state
     /// — the application record, the job → app mapping and the
     /// framework's job entry. Only `app_vc` keeps its 8-byte entry: it
-    /// still routes stale per-app events (a ControllerCheck armed
-    /// before completion) to a shard that then ignores them.
+    /// still routes stale per-app events (the ControllerCheck a
+    /// reporting controller armed for its deadline) to a shard that
+    /// then ignores them.
     fn apply_retire(&mut self, app_id: AppId, job: JobId) {
         let vc = self.app_vc[app_id.0 as usize];
         let shard = &mut self.shards[vc.0];
@@ -1160,7 +1164,10 @@ impl Platform {
     /// canonical position in the effect stream — Algorithm 1 reads
     /// every VC's view and the cloud market, the CM pipeline
     /// serializes (`cm_free_at`), and the decision executes against
-    /// the pool/market.
+    /// the pool/market. The application's controller is not armed
+    /// here: the shard emits that [`Effect::Schedule`] right after
+    /// this effect, so its tag follows every event the placement
+    /// schedules.
     fn apply_place(
         &mut self,
         key: EffectKey,
@@ -1317,17 +1324,6 @@ impl Platform {
                     self.begin_cloud_lease(now, app_id, cloud, nb, base, None);
                 }
             }
-        }
-
-        // First check on the next global check tick: all live
-        // applications share check instants (see
-        // [`crate::engine::shard::next_check`]), which is what turns
-        // SLA monitoring into wide cross-shard same-instant runs.
-        if let Some(interval) = self.cfg.controller_check_interval {
-            self.push_event(
-                next_check(now, interval),
-                Event::ControllerCheck { app: app_id },
-            );
         }
     }
 

@@ -27,12 +27,14 @@ use crate::ids::{AppId, Placement, VcId};
 use meryn_sla::AppTimes;
 use meryn_workloads::Submission;
 
-/// Aligns the next Application Controller check onto the global check
-/// grid: the first multiple of `interval` strictly after `now`. All
-/// live applications therefore check on shared instants — which is what
-/// turns SLA monitoring into wide same-instant cross-shard runs the
+/// Aligns an Application Controller check onto the global check grid:
+/// the first multiple of `interval` strictly after `now`. Every check
+/// lands on a grid instant, so checks of different applications share
+/// instants — polling escalating controllers and same-deadline
+/// reporting ones alike — and form same-instant cross-shard runs the
 /// executor can fan out, instead of one-event instants scattered by
-/// arrival phase.
+/// arrival phase. [`ShardPolicy::check_due`] picks the instant to
+/// align.
 pub(crate) fn next_check(now: SimTime, interval: SimDuration) -> SimTime {
     let step = interval.as_millis().max(1);
     SimTime::from_millis((now.as_millis() / step + 1) * step)
@@ -107,6 +109,23 @@ pub(crate) struct ShardPolicy {
     /// Extra-latency model for suspending a remote victim; drawn
     /// unconditionally per arrival.
     pub(crate) suspend_remote: LatencyModel,
+}
+
+impl ShardPolicy {
+    /// When an application's controller next wakes — the first grid
+    /// instant at which its check can act — or `None` on an unmonitored
+    /// deployment. An escalating controller polls: its verdict depends
+    /// on progress, so it wakes on the next tick after `now`. A
+    /// reporting controller can act only once `now > deadline_at`, so
+    /// it sleeps through to the first tick after the deadline and wakes
+    /// once. Both the first arming and every re-arm come from here.
+    fn check_due(&self, now: SimTime, deadline_at: SimTime) -> Option<SimTime> {
+        let interval = self.check_interval?;
+        Some(match self.violation_policy {
+            ViolationPolicy::EscalateToCloud => next_check(now, interval),
+            ViolationPolicy::Report => next_check(deadline_at, interval),
+        })
+    }
 }
 
 /// A lending relationship: when the borrower finishes, `victim` (held
@@ -312,6 +331,12 @@ impl VcShard {
     /// the executor at this event's canonical position. A failed
     /// admission emits [`Effect::Rejected`] so the fabric tally stays
     /// executor-owned.
+    ///
+    /// An admitted application's controller is armed right after the
+    /// placement, as an [`Effect::Schedule`] at
+    /// [`ShardPolicy::check_due`]. One event's effects apply in
+    /// emission order, so the check's tag follows every event the
+    /// placement schedules.
     fn on_arrival(&mut self, now: SimTime, app_id: AppId, sub: Submission, sink: &mut EffectSink) {
         let admitted = admit_routed(
             &sub,
@@ -334,6 +359,7 @@ impl VcShard {
             .framework
             .estimate_exec(&spec, spec.nb_vms(), self.policy.quote_speed, true)
             .unwrap_or_else(|e| unreachable!("admission type-checked the spec: {e:?}"));
+        let check_due = self.policy.check_due(now, contract.deadline_at());
         self.apps.insert(
             app_id,
             Application {
@@ -370,6 +396,12 @@ impl VcShard {
             suspend_local,
             suspend_remote,
         });
+        if let Some(due) = check_due {
+            sink.emit(Effect::Schedule {
+                due,
+                event: Event::ControllerCheck { app: app_id },
+            });
+        }
     }
 
     // ---- framework hand-off -----------------------------------------------
@@ -845,9 +877,13 @@ impl VcShard {
     /// a verdict that wants cloud attention — escalation policy, job
     /// submitted, no acquisition in flight — emits
     /// [`Effect::Escalate`] for the executor (only the market
-    /// transaction leaves the shard); a violated report-mode verdict is
-    /// recorded locally and the check retires; everything else re-arms
-    /// on the next global check tick.
+    /// transaction leaves the shard); a violated verdict is recorded
+    /// locally and the check retires; everything else re-arms at
+    /// [`ShardPolicy::check_due`]. A reporting controller is armed for
+    /// the first tick past its deadline, so its one check either finds
+    /// the application completed or marks the violation. Under
+    /// `Report` only a check restored from a checkpoint of a polling
+    /// build fires before the deadline; it re-arms once, for that tick.
     pub(crate) fn check_sla(&mut self, now: SimTime, app_id: AppId, sink: &mut EffectSink) {
         self.sla_verdict(now, app_id, 0, sink);
     }
@@ -861,15 +897,15 @@ impl VcShard {
     /// falls through to the normal retire/re-arm outcomes, ending the
     /// backoff chain.
     fn sla_verdict(&mut self, now: SimTime, app_id: AppId, attempt: u32, sink: &mut EffectSink) {
-        let Some(interval) = self.policy.check_interval else {
-            return; // unmonitored deployment: nothing ever arms a check
-        };
         let Some(app) = self.apps.get(&app_id) else {
             return; // aggregate mode already retired the application
         };
         if app.is_completed() {
             return; // controller retires with its application
         }
+        let Some(due) = self.policy.check_due(now, app.contract.deadline_at()) else {
+            return; // unmonitored deployment: nothing ever arms a check
+        };
         let status = meryn_sla::violation::check(&app.contract, &app.times, now);
         if status.needs_attention()
             && self.policy.violation_policy == ViolationPolicy::EscalateToCloud
@@ -896,7 +932,7 @@ impl VcShard {
             return;
         }
         sink.emit(Effect::Schedule {
-            due: next_check(now, interval),
+            due,
             event: Event::ControllerCheck { app: app_id },
         });
     }
@@ -1184,6 +1220,20 @@ mod tests {
                 attempt: 0,
                 expect: Expect::Mark,
             },
+            Case {
+                // Only a check restored from a polling build's
+                // checkpoint fires before the deadline under `Report`:
+                // it converges onto the one wake-up past 1100 s.
+                name: "report-mode check before the deadline sleeps past it",
+                policy: Report,
+                started: Some(200),
+                now: 200,
+                completed: false,
+                has_job: true,
+                pending: false,
+                attempt: 0,
+                expect: Expect::Rearm { due: 1110 },
+            },
         ];
         for case in cases {
             let mut shard = shard(case.policy, Some(30));
@@ -1247,6 +1297,52 @@ mod tests {
             } else {
                 assert_eq!(marked, None, "{}: must not mark", case.name);
             }
+        }
+    }
+
+    /// An admitted arrival emits its placement first and then arms its
+    /// controller: a reporting one for the first tick past the
+    /// deadline, an escalating one for the next tick. Effects of one
+    /// event apply in emission order, so the check's tag follows every
+    /// event the placement schedules.
+    #[test]
+    fn arrival_arms_the_controller_after_the_placement() {
+        use meryn_sla::negotiation::UserStrategy;
+        use meryn_workloads::VcTarget;
+        use ViolationPolicy::{EscalateToCloud, Report};
+        // Arrives at 5 s with 1000 s of work: deadline 5 + 1000 + 84 s.
+        for (policy, interval, armed) in [
+            (Report, Some(30), Some(1110)),
+            (EscalateToCloud, Some(30), Some(30)),
+            (Report, None, None),
+        ] {
+            let mut shard = shard(policy, interval);
+            let id = AppId(4);
+            let sub = Submission::new(
+                t(5),
+                VcTarget::Index(0),
+                JobSpec::Batch {
+                    work: d(1000),
+                    nb_vms: 1,
+                    scaling: ScalingLaw::Fixed,
+                },
+                UserStrategy::AcceptCheapest,
+            );
+            let mut sink = EffectSink::new(t(5), VcId(0), 1);
+            shard.handle(t(5), Event::Arrival { app: id, sub }, &mut sink);
+            assert_eq!(shard.apps[&id].contract.deadline_at(), t(1089));
+            let effects: Vec<Effect> = sink.into_effects().into_iter().map(|e| e.effect).collect();
+            let label = format!("{policy:?} every {interval:?} s");
+            assert!(
+                matches!(effects[0], Effect::Place { app, .. } if app == id),
+                "{label}: the placement comes first"
+            );
+            let check = armed.map(|due| Effect::Schedule {
+                due: t(due),
+                event: Event::ControllerCheck { app: id },
+            });
+            assert_eq!(effects.get(1), check.as_ref(), "{label}");
+            assert!(effects.len() <= 2, "{label}: nothing else");
         }
     }
 

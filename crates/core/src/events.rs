@@ -108,7 +108,9 @@ pub enum Event {
         /// The released VMs.
         vms: Vec<VmId>,
     },
-    /// Periodic Application Controller SLA check.
+    /// Application Controller SLA check, due on the global check grid:
+    /// every tick for an escalating controller, once (the first tick
+    /// past the deadline) for a reporting one.
     ControllerCheck {
         /// The monitored application.
         app: AppId,

@@ -1,22 +1,27 @@
 //! The shard-local control plane's determinism battery.
 //!
-//! PR 6 moved latency draws, SLA checks and VM choreography out of the
-//! sequential control plane into the per-VC shards, which is exactly
-//! what lets same-instant cross-shard runs fan out to worker threads.
-//! This property test pins the contract that migration must honour:
-//! for *random* workloads over 2–16 VCs, the finalized report is
-//! **byte-identical** at 1, 2 and 8 threads — and the fan-out path
-//! actually fires (`parallel_runs > 0`), so the equality is exercised,
-//! not vacuous.
+//! Latency draws, SLA checks and VM choreography run inside the per-VC
+//! shards, which is exactly what lets same-instant cross-shard runs fan
+//! out to worker threads. These property tests pin the contract that
+//! design must honour: for *random* workloads over 2–16 VCs, the
+//! finalized report is **byte-identical** at 1, 2 and 8 threads — and
+//! the fan-out path actually fires (`parallel_runs > 0`), so the
+//! equality is exercised, not vacuous.
 //!
+//! The fan-out-width runs come from the controller-check grid. A
+//! reporting controller (`ViolationPolicy::Report`) wakes only once,
+//! at the first grid tick past its deadline, so its checks are too
+//! sparse to fill a run; the cases therefore deploy with
+//! `ViolationPolicy::EscalateToCloud`, whose controllers poll the
+//! shared 30-second grid for as long as their application is live.
 //! The workload generator deliberately lands whole cohorts on shared
-//! instants (wave arrivals, zero front-end latency) and keeps dozens
-//! of applications live at once, so the 30-second controller-check
-//! grid produces same-instant runs wide enough to clear the executor's
-//! fan-out gate at every generated case.
+//! instants (wave arrivals, zero front-end latency) and keeps dozens of
+//! applications live at once, so those polls produce same-instant runs
+//! wide enough to clear the executor's fan-out gate at every generated
+//! case.
 
 use meryn_core::app::AppPhase;
-use meryn_core::config::{PlatformConfig, VcConfig};
+use meryn_core::config::{PlatformConfig, VcConfig, ViolationPolicy};
 use meryn_core::{AppId, EngineCheckpoint, Platform, ReportMode};
 use meryn_frameworks::{JobSpec, ScalingLaw};
 use meryn_sim::{SimDuration, SimTime};
@@ -56,7 +61,8 @@ fn case_strategy() -> impl Strategy<Value = Case> {
         .prop_map(|(vcs, seed, subs)| Case { vcs, seed, subs })
 }
 
-/// The case's deployment. `zero_base` wipes the front-end latency so
+/// The case's deployment, with polling (escalating) SLA controllers so
+/// the check grid fans out. `zero_base` wipes the front-end latency so
 /// every wave's cohort lands on one instant (the widest possible
 /// same-instant runs); the streamed tests keep the paper's 7–15 s CM
 /// handling so each cohort has a genuine negotiation window to
@@ -64,6 +70,7 @@ fn case_strategy() -> impl Strategy<Value = Case> {
 fn case_cfg(case: &Case, zero_base: bool) -> PlatformConfig {
     let mut cfg = PlatformConfig::paper("meryn");
     cfg.seed = case.seed;
+    cfg.violation_policy = ViolationPolicy::EscalateToCloud;
     cfg.private_capacity = case.vcs as u64 * (VMS_PER_VC + 2);
     cfg.vcs = (0..case.vcs)
         .map(|i| VcConfig::batch(format!("vc-{i:02}"), VMS_PER_VC))
