@@ -279,6 +279,26 @@ fn resume_rejects_a_missing_or_mismatched_format_with_exit_2() {
     );
     assert!(!stderr.contains("panicked"), "no panic backtrace: {stderr}");
 
+    // Layout 3: a full-mode run kept its completed applications in the
+    // shards; it wrote no retired records and named the completion
+    // instant `agg_completion`. It parses, and its number is refused.
+    let mut layout_3 = future.clone();
+    layout_3.retain(|(k, _)| k != "records");
+    for (k, v) in &mut layout_3 {
+        match k.as_str() {
+            "format" => *v = Value::U64(3),
+            "completion" => *k = "agg_completion".to_owned(),
+            _ => {}
+        }
+    }
+    let (code, stderr) = resume(&spec, &write_object(&spec, "layout-3.json", layout_3));
+    assert_eq!(code, Some(2), "format-3 checkpoint → exit 2: {stderr}");
+    assert!(
+        stderr.contains("checkpoint format 3"),
+        "diagnostic names the format: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "no panic backtrace: {stderr}");
+
     // Layout 2: a bulk-enqueued run kept its pending arrivals in the
     // shard queues and wrote no arrival cursor.
     let mut layout_2 = future;

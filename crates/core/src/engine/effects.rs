@@ -146,15 +146,14 @@ pub enum Effect {
         /// The stopped VMs, stint order.
         vms: Vec<VmId>,
     },
-    /// A completed application asks to be folded into the run's
-    /// aggregate tallies and forgotten (emitted only under
-    /// [`crate::report::ReportMode::Aggregate`]). Reading the
-    /// application record, folding it and dropping the per-app state
-    /// spans shard *and* executor structures (`app_vc` stays — it
-    /// routes stale per-app events), so the executor owns this effect;
-    /// the fabric never sees it.
+    /// A completed application asks to become its report record and
+    /// be forgotten (every completion emits it, in either
+    /// [`crate::report::ReportMode`]). Building the record, filing it
+    /// and dropping the per-app state spans shard *and* executor
+    /// structures (`app_vc` stays — it routes stale per-app events), so
+    /// the executor owns this effect; the fabric never sees it.
     Retire {
-        /// The completed application to fold and forget.
+        /// The completed application to record and forget.
         app: AppId,
         /// Its framework job, retired from the framework's job table.
         job: meryn_frameworks::JobId,

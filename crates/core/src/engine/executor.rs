@@ -32,6 +32,14 @@
 //! memory stays O(1), and a checkpoint records the stream's cursor
 //! instead of the pending arrivals.
 //!
+//! A completed application leaves the run one way too: its shard emits
+//! [`Effect::Retire`], and at that canonical position the executor
+//! builds the application's [`AppRecord`] and drops the application,
+//! its framework job and its job → app entry. [`ReportMode`] decides
+//! only where the record goes — the run's record list or the per-VC
+//! aggregates — so engine state is O(live) in either mode, and the
+//! ledger keeps running totals only.
+//!
 //! State changes only at event instants, and one run function advances
 //! the engine by one of them: it drains the maximal run of events
 //! queued at the next instant, groups it by shard, processes the
@@ -147,13 +155,15 @@ pub struct Platform {
     /// Same-instant runs wide enough to fan out to worker threads.
     parallel_runs: u64,
     /// Aggregate tallies; `Some` exactly under
-    /// [`ReportMode::Aggregate`], where completed applications fold in
-    /// and retire instead of accumulating per-app records.
+    /// [`ReportMode::Aggregate`], where retired records fold in here.
     aggregate: Option<AggregateReport>,
-    /// Latest completion folded into `aggregate` (retired applications
-    /// are gone by `finalize`, so the report's completion time is
-    /// tracked as they retire).
-    agg_completion: SimTime,
+    /// Records of retired applications, retirement order; filled only
+    /// under [`ReportMode::Full`].
+    records: Vec<AppRecord>,
+    /// Latest completion among retired applications (they are gone by
+    /// `finalize`, so the report's completion time is tracked as they
+    /// retire).
+    completion: SimTime,
     /// The workload's arrival stream, once one is attached.
     arrivals: Option<ArrivalSource>,
 }
@@ -228,17 +238,19 @@ impl std::error::Error for StreamError {}
 
 /// Layout version of [`EngineCheckpoint`], written into every
 /// checkpoint's required `format` field. Bump it whenever the captured
-/// state changes shape. Layout 2 held a bulk-enqueued run's pending
-/// arrivals in its shard queues and layout 1 a control queue; neither
-/// parses as layout 3, which holds an arrival cursor.
-pub const CHECKPOINT_FORMAT: u32 = 3;
+/// state changes shape. Layout 3 kept a full-mode run's completed
+/// applications in its shards, layout 2 a bulk-enqueued run's pending
+/// arrivals in its shard queues and layout 1 a control queue; none
+/// parses as layout 4, which holds retired applications as records.
+pub const CHECKPOINT_FORMAT: u32 = 4;
 
-/// A full engine snapshot: every shard (framework masters and event
-/// queues included), the shared fabric (pool, clouds, ledger, metrics,
-/// RNG stream positions), the global sequence counter and the arrival
-/// stream's cursor. Serializable with serde; resuming from it with the
-/// same workload reproduces the uninterrupted run byte-for-byte at any
-/// thread count.
+/// A full engine snapshot: every shard (live applications, framework
+/// masters and event queues included), the shared fabric (pool, clouds,
+/// ledger totals, metrics, RNG stream positions), the retired
+/// applications' records or aggregates, the global sequence counter
+/// and the arrival stream's cursor. Serializable with serde; resuming
+/// from it with the same workload reproduces the uninterrupted run
+/// byte-for-byte at any thread count.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EngineCheckpoint {
     /// Layout version; [`CHECKPOINT_FORMAT`] when written by this build.
@@ -253,7 +265,12 @@ pub struct EngineCheckpoint {
     app_vc: Vec<VcId>,
     next_app: u64,
     aggregate: Option<AggregateReport>,
-    agg_completion: SimTime,
+    // Added in layout 4 and defaulted, so that a layout-3 file parses
+    // far enough for `check_format` to reject it by its number.
+    #[serde(default)]
+    records: Vec<AppRecord>,
+    #[serde(default)]
+    completion: SimTime,
     arrivals: ArrivalCursor,
     parallel_runs: u64,
 }
@@ -296,6 +313,7 @@ fn app_record(app: &Application, vc_name: &str) -> AppRecord {
         vc_name: vc_name.to_owned(),
         placement: app.placement.table1_case().to_owned(),
         submitted: app.contract.agreed_at,
+        deadline: app.contract.deadline_at(),
         framework_submitted: app.framework_submitted_at,
         completed: app.completed_at(),
         processing: app.processing_time(),
@@ -305,18 +323,18 @@ fn app_record(app: &Application, vc_name: &str) -> AppRecord {
         revenue: app.revenue().unwrap_or(Money::ZERO),
         penalty: app.penalty().unwrap_or(Money::ZERO),
         violated: app.violated(),
+        violation_detected: app.violation_detected,
         suspensions: app.suspensions,
         negotiation_rounds: app.negotiation_rounds,
     }
 }
 
 /// The config slice shards apply locally (rebuilt, not serialized).
-fn shard_policy(cfg: &PlatformConfig, retire_on_completion: bool) -> ShardPolicy {
+fn shard_policy(cfg: &PlatformConfig) -> ShardPolicy {
     ShardPolicy {
         violation_policy: cfg.violation_policy,
         check_interval: cfg.controller_check_interval,
         private_cost: cfg.private_cost,
-        retire_on_completion,
         vm_mtbf: cfg.faults.vm_mtbf_secs.map(SimDuration::from_secs),
         quote_speed: cfg.quote_speed,
         allowance: cfg.processing_allowance,
@@ -442,8 +460,10 @@ impl Platform {
             }
         }
 
-        let fabric = SharedFabric::new(pool, clouds, cfg.client_managers);
-        let policy = shard_policy(&cfg, false);
+        let mut fabric = SharedFabric::new(pool, clouds, cfg.client_managers);
+        // Running totals answer every query the run makes of its ledger.
+        fabric.ledger.set_retain_entries(false);
+        let policy = shard_policy(&cfg);
         let seed = cfg.seed;
         let shards = vcs
             .into_iter()
@@ -473,32 +493,29 @@ impl Platform {
             effect_gather: Vec::new(),
             parallel_runs: 0,
             aggregate: None,
-            agg_completion: SimTime::ZERO,
+            records: Vec::new(),
+            completion: SimTime::ZERO,
             arrivals: None,
         }
     }
 
-    /// Selects how much per-application detail the run keeps; must be
+    /// Selects where the run's per-application records go; must be
     /// chosen before the run starts.
     ///
-    /// [`ReportMode::Aggregate`] keeps engine memory O(live) instead of
-    /// O(history): the ledger stops retaining per-charge entries
-    /// (running totals remain exact), and every completed application
-    /// folds into per-VC aggregates and retires its engine-side state
-    /// at its canonical effect position — so the aggregates are
-    /// byte-identical at any thread count. This is the hyperscale
+    /// Engine state is O(live) in either mode: every completed
+    /// application retires at its canonical effect position. Under
+    /// [`ReportMode::Full`] (the default) its record joins the run's
+    /// record list; under [`ReportMode::Aggregate`] it folds into per-VC
+    /// aggregates — byte-identical at any thread count — and is
+    /// dropped, so the whole run stays O(live). This is the hyperscale
     /// configuration.
     pub fn with_report_mode(mut self, mode: ReportMode) -> Self {
         assert!(
             self.now == SimTime::ZERO && self.next_app == 0,
             "report mode must be chosen before the run starts"
         );
-        let aggregate = mode == ReportMode::Aggregate;
-        self.aggregate = aggregate.then(|| AggregateReport::new(self.shards.len()));
-        self.fabric.ledger.set_retain_entries(!aggregate);
-        for shard in &mut self.shards {
-            shard.policy.retire_on_completion = aggregate;
-        }
+        self.aggregate =
+            (mode == ReportMode::Aggregate).then(|| AggregateReport::new(self.shards.len()));
         self
     }
 
@@ -542,7 +559,9 @@ impl Platform {
         self.fabric.audit_invariants()
     }
 
-    /// Looks an application up across shards.
+    /// Looks a *live* application up across shards: `None` once it has
+    /// completed and retired into its report record (read those from
+    /// [`Self::finalize`]), and for ids never admitted.
     pub fn app(&self, id: AppId) -> Option<&Application> {
         let vc = *self.app_vc.get(id.0 as usize)?;
         self.shards[vc.0].apps.get(&id)
@@ -558,7 +577,8 @@ impl Platform {
         &self.fabric.clouds
     }
 
-    /// The billing ledger.
+    /// The billing ledger: running totals only (a run retains no
+    /// per-charge entries).
     pub fn ledger(&self) -> &Ledger {
         &self.fabric.ledger
     }
@@ -873,9 +893,9 @@ impl Platform {
         }
     }
 
-    /// Applies [`Effect::Retire`] (aggregate mode): folds the completed
-    /// application into the run aggregates and drops its per-app state
-    /// — the application record, the job → app mapping and the
+    /// Applies [`Effect::Retire`]: builds the completed application's
+    /// record once, files it (see [`Self::file_record`]) and drops its
+    /// per-app state — the application, the job → app mapping and the
     /// framework's job entry. Only `app_vc` keeps its 8-byte entry: it
     /// still routes stale per-app events (the ControllerCheck a
     /// reporting controller armed for its deadline) to a shard that
@@ -888,19 +908,25 @@ impl Platform {
             .remove(&app_id)
             .expect("retiring application exists");
         let rec = app_record(&app, &shard.vc.name);
-        if let Some(at) = app.completed_at() {
-            self.agg_completion = self.agg_completion.max_of(at);
-        }
-        self.aggregate
-            .as_mut()
-            .expect("retirements are emitted only in aggregate mode")
-            .push(&rec);
         shard.vc.job_to_app.remove(&job);
         shard
             .vc
             .framework
             .retire_job(job)
             .expect("retiring job just completed");
+        self.file_record(rec);
+    }
+
+    /// Files one application's record where the report mode says:
+    /// folded into the aggregates, or kept in the record list.
+    fn file_record(&mut self, rec: AppRecord) {
+        if let Some(at) = rec.completed {
+            self.completion = self.completion.max_of(at);
+        }
+        match self.aggregate.as_mut() {
+            Some(agg) => agg.push(&rec),
+            None => self.records.push(rec),
+        }
     }
 
     /// Acts on a shard's escalation request: the shard already vetted
@@ -1378,7 +1404,8 @@ impl Platform {
             app_vc: self.app_vc.clone(),
             next_app: self.next_app,
             aggregate: self.aggregate.clone(),
-            agg_completion: self.agg_completion,
+            records: self.records.clone(),
+            completion: self.completion,
             arrivals: self.arrivals.as_ref().map(|a| a.cursor).unwrap_or_default(),
             parallel_runs: self.parallel_runs,
         }
@@ -1408,7 +1435,8 @@ impl Platform {
             app_vc,
             next_app,
             aggregate,
-            agg_completion,
+            records,
+            completion,
             arrivals,
             parallel_runs,
         } = cp;
@@ -1419,7 +1447,7 @@ impl Platform {
         cfg.validate();
         let placement = policy::placement(&cfg.policy).expect("validated policy resolves");
         let bidding = policy::bidding(&cfg.bidding).expect("validated bidding policy resolves");
-        let policy = shard_policy(&cfg, aggregate.is_some());
+        let policy = shard_policy(&cfg);
         let shards = shards
             .into_iter()
             .map(|s| VcShard::from_snapshot(s, policy))
@@ -1447,7 +1475,8 @@ impl Platform {
             effect_gather: Vec::new(),
             parallel_runs,
             aggregate,
-            agg_completion,
+            records,
+            completion,
             arrivals: Some(ArrivalSource {
                 iter: Box::new(iter),
                 head: None,
@@ -1460,40 +1489,28 @@ impl Platform {
 
     /// Builds the final report. Consumes the platform.
     ///
-    /// In aggregate mode the still-live applications (never completed:
-    /// violated-and-stuck, or mid-flight at an early finalize) fold
-    /// into the aggregates in submission order and `apps` stays empty.
+    /// Completed applications were filed as they retired; the
+    /// still-live ones (never completed: violated-and-stuck, or
+    /// mid-flight at an early finalize) are filed now, in submission
+    /// order. In full mode `apps` then lists every admitted
+    /// application's record in submission (= `AppId`) order; in
+    /// aggregate mode it stays empty.
     pub fn finalize(mut self) -> RunReport {
-        let mut aggregate = self.aggregate.take();
-        let total_apps: usize = self.shards.iter().map(|s| s.apps.len()).sum();
-        let mut apps: Vec<&Application> = Vec::with_capacity(total_apps);
-        for shard in &self.shards {
-            apps.extend(shard.apps.values());
+        let mut live: Vec<AppRecord> = self
+            .shards
+            .iter()
+            .flat_map(|s| s.apps.values().map(|app| app_record(app, &s.vc.name)))
+            .collect();
+        // Submission order: the order aggregate mode folds them in.
+        live.sort_unstable_by_key(|r| r.id);
+        for rec in live {
+            self.file_record(rec);
         }
-        // Shards hold disjoint id ranges interleaved by arrival order;
-        // the report lists applications in submission (= AppId) order.
-        apps.sort_by_key(|a| a.id);
-        let mut records = Vec::new();
-        let mut completion = self.agg_completion;
-        match aggregate.as_mut() {
-            Some(agg) => {
-                for app in apps {
-                    if let Some(at) = app.completed_at() {
-                        completion = completion.max_of(at);
-                    }
-                    agg.push(&app_record(app, &self.shards[app.vc.0].vc.name));
-                }
-            }
-            None => {
-                records.reserve(total_apps);
-                for app in apps {
-                    if let Some(at) = app.completed_at() {
-                        completion = completion.max_of(at);
-                    }
-                    records.push(app_record(app, &self.shards[app.vc.0].vc.name));
-                }
-            }
-        }
+        // Records were filed in retirement order; the report lists
+        // them in submission order. Ids are unique, so the in-place
+        // unstable sort gives the stable order without a merge buffer.
+        let mut records = std::mem::take(&mut self.records);
+        records.sort_unstable_by_key(|r| r.id);
         let events_processed = self.events_processed();
         let (peak_private, peak_cloud) = self.fabric.peaks();
         let mut series = SeriesSet::new();
@@ -1522,7 +1539,7 @@ impl Platform {
             seed: self.cfg.seed,
             apps: records,
             rejected: self.fabric.rejected,
-            completion_time: completion,
+            completion_time: self.completion,
             series,
             peak_private: peak_private as f64,
             peak_cloud: peak_cloud as f64,
@@ -1533,7 +1550,7 @@ impl Platform {
             cloud_bill: self.fabric.cloud_bill,
             events_processed,
             faults,
-            aggregate,
+            aggregate: self.aggregate,
         }
     }
 }

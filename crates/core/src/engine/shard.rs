@@ -82,11 +82,6 @@ pub(crate) struct ShardPolicy {
     pub(crate) violation_policy: ViolationPolicy,
     pub(crate) check_interval: Option<SimDuration>,
     pub(crate) private_cost: VmRate,
-    /// [`crate::report::ReportMode::Aggregate`]: a finished job emits
-    /// [`Effect::Retire`] so the executor folds the application into
-    /// the run's aggregates and drops its per-app state (O(live)
-    /// memory instead of O(history)).
-    pub(crate) retire_on_completion: bool,
     /// Fault plane: mean time between failures of one slave VM, if VM
     /// crashes are enabled. Each dispatch draws the stint's first crash
     /// from the shard's dedicated fault stream.
@@ -666,13 +661,11 @@ impl VcShard {
         }
         self.recycle_stint_buf(stint_vms);
         self.dispatch(now, sink);
-        if self.policy.retire_on_completion {
-            // Aggregate mode: ask the executor to fold this application
-            // into the run tallies and drop its state. Emitted after the
-            // dispatch so the retirement applies at its canonical
-            // position — identical at every thread count.
-            sink.emit(Effect::Retire { app: app_id, job });
-        }
+        // The application leaves the engine: the executor turns it into
+        // its report record and drops its state. Emitted after the
+        // dispatch so the retirement applies at its canonical position
+        // — identical at every thread count.
+        sink.emit(Effect::Retire { app: app_id, job });
     }
 
     // ---- coalesced choreography -------------------------------------------
@@ -898,10 +891,10 @@ impl VcShard {
     /// backoff chain.
     fn sla_verdict(&mut self, now: SimTime, app_id: AppId, attempt: u32, sink: &mut EffectSink) {
         let Some(app) = self.apps.get(&app_id) else {
-            return; // aggregate mode already retired the application
+            return; // the application completed and retired
         };
         if app.is_completed() {
-            return; // controller retires with its application
+            return; // completed this instant; retires with its application
         }
         let Some(due) = self.policy.check_due(now, app.contract.deadline_at()) else {
             return; // unmonitored deployment: nothing ever arms a check
@@ -1025,7 +1018,6 @@ mod tests {
                 violation_policy: policy,
                 check_interval: interval.map(d),
                 private_cost: VmRate::per_vm_second(2),
-                retire_on_completion: false,
                 vm_mtbf: None,
                 quote_speed: 1.0,
                 allowance: d(84),

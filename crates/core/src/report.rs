@@ -10,7 +10,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::ids::{AppId, VcId};
 
-/// One completed (or rejected) application's measurements.
+/// One admitted application's measurements, built when it completes
+/// (or, if it never does, when the run is finalized).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AppRecord {
     /// The application.
@@ -23,6 +24,9 @@ pub struct AppRecord {
     pub placement: String,
     /// Submission instant.
     pub submitted: SimTime,
+    /// The contract's deadline instant: submission plus the agreed
+    /// deadline.
+    pub deadline: SimTime,
     /// Framework hand-off instant.
     pub framework_submitted: Option<SimTime>,
     /// Completion instant.
@@ -41,6 +45,10 @@ pub struct AppRecord {
     pub penalty: Money,
     /// Whether the deadline was missed.
     pub violated: bool,
+    /// When the Application Controller saw the violation, if it did
+    /// before the application completed (see
+    /// [`crate::app::Application::violation_detected`]).
+    pub violation_detected: Option<SimTime>,
     /// Times the app was suspended to lend its VMs.
     pub suspensions: u32,
     /// Negotiation rounds to sign.
@@ -64,20 +72,23 @@ pub struct GroupStats {
     pub violations: usize,
 }
 
-/// How much per-application detail a run keeps.
+/// Where a run puts its per-application records.
 ///
-/// [`ReportMode::Full`] (the default) records one [`AppRecord`] per
-/// submission — O(history) memory, required for per-app outputs like
-/// Table 1 and the placement listings. [`ReportMode::Aggregate`] folds
-/// every application into per-VC running statistics the moment it
-/// completes and retires its records from the engine, keeping memory
-/// O(live) — the only mode that survives hyperscale submission counts.
+/// In either mode a completed application retires from the engine at
+/// its canonical effect position, so engine memory is O(live). The mode
+/// decides only what becomes of its [`AppRecord`]:
+/// [`ReportMode::Full`] (the default) keeps it, so the record list —
+/// and nothing else — grows with the submission history, as per-app
+/// outputs like Table 1 and the placement listings need.
+/// [`ReportMode::Aggregate`] folds it into per-VC running statistics
+/// and drops it, keeping the whole run O(live) — the only mode that
+/// survives hyperscale submission counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum ReportMode {
     /// Keep every per-application record (the default).
     #[default]
     Full,
-    /// Fold completed applications into aggregates; `apps` stays empty.
+    /// Fold each record into aggregates; `apps` stays empty.
     Aggregate,
 }
 
@@ -112,7 +123,18 @@ impl VcAggregate {
         self.total_revenue += rec.revenue;
         self.total_penalty += rec.penalty;
         self.violations += u64::from(rec.violated);
-        *self.placements.entry(rec.placement.clone()).or_default() += 1;
+        self.count_placement(&rec.placement, 1);
+    }
+
+    /// Adds `n` to a placement label's count, allocating the label only
+    /// the first time it appears.
+    fn count_placement(&mut self, label: &str, n: u64) {
+        match self.placements.get_mut(label) {
+            Some(count) => *count += n,
+            None => {
+                self.placements.insert(label.to_owned(), n);
+            }
+        }
     }
 
     /// Merges another aggregate in (used when combining per-shard
@@ -125,13 +147,14 @@ impl VcAggregate {
         self.total_revenue += other.total_revenue;
         self.total_penalty += other.total_penalty;
         self.violations += other.violations;
-        for (k, v) in &other.placements {
-            *self.placements.entry(k.clone()).or_default() += v;
+        for (label, &n) in &other.placements {
+            self.count_placement(label, n);
         }
     }
 }
 
-/// The aggregate-only substitute for `RunReport::apps`.
+/// The aggregate-mode substitute for `RunReport::apps`: every record
+/// folded into running statistics, none kept.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct AggregateReport {
     /// Per-VC aggregates, indexed by `VcId`.
@@ -216,7 +239,9 @@ pub struct RunReport {
     pub mode: String,
     /// Seed the run used.
     pub seed: u64,
-    /// Per-application records, submission order.
+    /// Per-application records, submission (= [`AppId`]) order; empty
+    /// under [`ReportMode::Aggregate`]. The only part of a full-mode run
+    /// that grows with the submission history.
     pub apps: Vec<AppRecord>,
     /// Rejected submissions (negotiation/routing failures).
     pub rejected: usize,
@@ -430,6 +455,7 @@ mod tests {
             vc_name: format!("VC{vc}"),
             placement: "local-vm".into(),
             submitted: SimTime::ZERO,
+            deadline: SimTime::from_secs(exec + 94),
             framework_submitted: Some(SimTime::from_secs(10)),
             completed: Some(SimTime::from_secs(exec + 10)),
             processing: Some(SimDuration::from_secs(10)),
@@ -439,6 +465,7 @@ mod tests {
             revenue: Money::from_units(cost * 2),
             penalty: Money::ZERO,
             violated,
+            violation_detected: None,
             suspensions: 0,
             negotiation_rounds: 1,
         }
@@ -549,6 +576,21 @@ mod tests {
         let counts = r.placement_counts();
         assert!(counts.contains(&("cloud-vm".to_owned(), 2)));
         assert!(counts.contains(&("local-vm".to_owned(), 1)));
+    }
+
+    #[test]
+    fn merging_aggregates_sums_placement_counts() {
+        let mut cloud = record(0, 1, 1, false);
+        cloud.placement = "cloud-vm".into();
+        let (mut a, mut b) = (VcAggregate::default(), VcAggregate::default());
+        a.push(&record(0, 1, 1, false));
+        a.push(&cloud);
+        b.push(&cloud);
+        b.push(&cloud);
+        a.merge(&b);
+        let counts: Vec<(&str, u64)> = a.placements.iter().map(|(k, &n)| (k.as_str(), n)).collect();
+        assert_eq!(counts, [("cloud-vm", 3), ("local-vm", 1)]);
+        assert_eq!(a.count, 4);
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! End-to-end checks of the `Platform` engine API on small
 //! deployments: placement outcomes per policy, lease tear-down,
-//! suspension lending, rejection paths, determinism and the per-shard
-//! event breakdown.
+//! suspension lending, rejection paths, retirement of completed
+//! applications, determinism and the per-shard event breakdown.
 
 use meryn_core::config::{PlatformConfig, VcConfig};
-use meryn_core::Platform;
+use meryn_core::{AppId, Platform};
 use meryn_frameworks::{JobSpec, ScalingLaw};
 use meryn_sim::{SimDuration, SimTime};
 use meryn_sla::negotiation::UserStrategy;
@@ -220,6 +220,51 @@ fn ledger_matches_app_costs() {
     let ledger_total = platform.ledger().total();
     let report = platform.finalize();
     assert_eq!(report.total_cost(), ledger_total);
+}
+
+/// A completed application retires into its report record: after a
+/// full-mode run `Platform::app` sees only the application that never
+/// completed, yet `finalize` lists every admitted one, in `AppId` order
+/// although they completed out of it.
+#[test]
+fn completed_apps_retire_into_their_records() {
+    let mut cfg = PlatformConfig::paper("static");
+    cfg.private_capacity = 3;
+    cfg.vcs = vec![VcConfig::batch("VC1", 1), VcConfig::batch("VC2", 2)];
+    cfg.clouds.clear();
+    // Two VMs on a one-VM VC with no cloud: it waits forever.
+    let stuck = Submission::new(
+        SimTime::from_secs(10),
+        VcTarget::Index(0),
+        JobSpec::Batch {
+            work: SimDuration::from_secs(100),
+            nb_vms: 2,
+            scaling: ScalingLaw::Fixed,
+        },
+        UserStrategy::AcceptCheapest,
+    );
+    let subs = vec![batch_sub(5, 1, 400), stuck, batch_sub(15, 1, 50)];
+    let mut platform = Platform::new(cfg);
+    platform.enqueue_workload(&subs);
+    platform.run_to_completion();
+    let live: Vec<u64> = (0..3)
+        .filter(|&i| platform.app(AppId(i)).is_some())
+        .collect();
+    assert_eq!(live, [1], "only the never-completing application is live");
+
+    let report = platform.finalize();
+    let ids: Vec<AppId> = report.apps.iter().map(|a| a.id).collect();
+    assert_eq!(ids, [AppId(0), AppId(1), AppId(2)]);
+    let [first, stuck, last] = &report.apps[..] else {
+        unreachable!("three records checked above")
+    };
+    assert_eq!(stuck.completed, None);
+    let (first_done, last_done) = (first.completed.unwrap(), last.completed.unwrap());
+    assert!(
+        last_done < first_done,
+        "app 2 completed, and retired, first"
+    );
+    assert_eq!(report.completion_time, first_done);
 }
 
 #[test]

@@ -90,20 +90,22 @@ struct Slave {
 pub struct DedicatedScheduler<M> {
     model: M,
     slaves: BTreeMap<VmId, Slave>,
-    /// Append-only job table: finished jobs stay queryable for the
-    /// report, so this grows with the whole submission history. Keyed
-    /// lookups only — dispatch order comes from `queue`/`running`/
-    /// `held`, never from iterating this map — so the deterministic
-    /// hash map keeps every lookup O(1) instead of paying a tree walk
-    /// over the history (see `meryn_sim::hash`).
+    /// Job table: every job from submission until its owner retires it
+    /// ([`DedicatedScheduler::retire_job`]). A finished job stays
+    /// queryable until then; the engine retires each one as its
+    /// application completes, so under the engine the table holds live
+    /// jobs only. Keyed lookups only — dispatch order comes from
+    /// `queue`/`running`/`held`, never from iterating this map — so the
+    /// deterministic hash map keeps every lookup O(1) (see
+    /// `meryn_sim::hash`).
     jobs: DetHashMap<JobId, Job>,
     queue: VecDeque<JobId>,
     held: BTreeSet<JobId>,
-    /// Ids of jobs currently in [`JobState::Running`]. The `jobs` map is
-    /// append-only (finished jobs stay queryable), so bid computation —
-    /// which scans running jobs on every arrival — must not pay for the
-    /// full history; this index keeps that scan proportional to the
-    /// VC's actual occupancy. No serde default: a snapshot missing the
+    /// Ids of jobs currently in [`JobState::Running`]. The `jobs` map
+    /// also holds queued, held and not-yet-retired finished jobs, so bid
+    /// computation — which scans running jobs on every arrival — reads
+    /// this index instead, keeping that scan proportional to the VC's
+    /// actual occupancy. No serde default: a snapshot missing the
     /// index must fail loudly, not deserialize with an empty one.
     running: BTreeSet<JobId>,
     next_job: u64,
@@ -579,12 +581,11 @@ impl<M: ExecModel> DedicatedScheduler<M> {
         self.held.iter().copied().collect()
     }
 
-    /// Forgets a finished job, reclaiming its table entry. The `jobs`
-    /// map is otherwise append-only so finished jobs stay queryable for
-    /// the report; an aggregate-only run folds each completion into
-    /// running statistics instead and retires the record to keep the
-    /// table O(live). Only `Done` jobs can be retired — anything else is
-    /// still owned by the queue/running/held indexes.
+    /// Forgets a finished job, reclaiming its table entry. The engine
+    /// calls it as each application completes — the report keeps what
+    /// it needs in the application's record — so the table stays
+    /// O(live). Only `Done` jobs can be retired — anything else is still
+    /// owned by the queue/running/held indexes.
     pub fn retire_job(&mut self, job_id: JobId) -> Result<(), FrameworkError> {
         let job = self
             .jobs

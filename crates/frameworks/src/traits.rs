@@ -163,8 +163,8 @@ pub trait Framework: Send {
     /// Jobs waiting in the queue.
     fn queued_count(&self) -> usize;
 
-    /// Forgets a finished job, reclaiming its table entry (aggregate-only
-    /// runs retire records instead of keeping the whole history).
+    /// Forgets a finished job, reclaiming its table entry (the engine
+    /// retires every completed job, so the table stays O(live)).
     fn retire_job(&mut self, job: JobId) -> Result<(), FrameworkError>;
 
     /// Takes a serializable snapshot of the whole master, for the engine

@@ -461,12 +461,12 @@ pub struct OutputSpec {
     /// seed-derived samples each.
     #[serde(default)]
     pub table1_samples: Option<u64>,
-    /// Run in `ReportMode::Aggregate`: applications retire into per-VC
-    /// running totals as they complete and ledger entries are dropped
-    /// at charge time — with arrivals streamed in either mode, memory
-    /// stays O(live) instead of O(history). Required for hyperscale
-    /// submission counts. Placements and summaries still work (from the
-    /// aggregates); per-app listings do not.
+    /// Run in `ReportMode::Aggregate`: each application's record folds
+    /// into per-VC running totals as it completes instead of joining
+    /// the run's record list. Engine memory is O(live) in either mode;
+    /// dropping the records keeps the whole run O(live), as hyperscale
+    /// submission counts need. Placements and summaries still work
+    /// (from the aggregates); per-app listings do not.
     #[serde(default)]
     pub aggregate: bool,
 }

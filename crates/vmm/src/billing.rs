@@ -3,8 +3,8 @@
 //! The evaluation's Figure 6(b) sums "the cost of running the
 //! applications": each VM-interval an application occupies is charged at
 //! the VM's location cost (private 2 units/VM·s, cloud 4 units/VM·s in the
-//! paper). The ledger records those intervals and answers the aggregate
-//! queries the report needs.
+//! paper). The ledger charges those intervals into running totals and,
+//! when asked to, keeps the intervals themselves for detailed queries.
 
 use meryn_sim::{SimDuration, SimTime};
 use meryn_sla::{Money, VmRate};
@@ -36,15 +36,15 @@ impl LedgerEntry {
     }
 }
 
-/// An append-only cost ledger with O(1) aggregate totals.
+/// A cost ledger with O(1) running totals and optional entry history.
 ///
-/// Per-location running totals are maintained at [`Ledger::charge`] time, so
-/// `total*()` never rescans history. Entry retention is optional: detailed
-/// per-interval queries ([`Ledger::entries`], [`Ledger::total_where`],
-/// [`Ledger::vm_seconds_where`]) need the entries, but a long-running
-/// aggregate-only simulation can drop them (see
-/// [`Ledger::aggregate_only`]) and keep memory O(1) regardless of how many
-/// intervals were billed.
+/// Per-location money and VM-time totals are maintained at
+/// [`Ledger::charge`] time, so `total*()` and `*_vm_seconds()` never
+/// rescan history. Entry retention is optional: detailed per-interval
+/// queries ([`Ledger::entries`], [`Ledger::total_where`],
+/// [`Ledger::vm_seconds_where`]) need the entries, but a simulation run
+/// keeps totals only (see [`Ledger::aggregate_only`]), so its memory
+/// stays O(1) regardless of how many intervals were billed.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Ledger {
     entries: Vec<LedgerEntry>,
@@ -53,6 +53,15 @@ pub struct Ledger {
     total: Money,
     total_private: Money,
     total_cloud: Money,
+    /// Billed private VM time [ms]: integer, so the total is exact.
+    /// Both VM-time totals default, so that an engine checkpoint
+    /// written before they existed still parses far enough to be
+    /// rejected by its layout number.
+    #[serde(default)]
+    private_vm_ms: u64,
+    /// Billed cloud VM time [ms].
+    #[serde(default)]
+    cloud_vm_ms: u64,
 }
 
 impl Default for Ledger {
@@ -64,6 +73,8 @@ impl Default for Ledger {
             total: Money::ZERO,
             total_private: Money::ZERO,
             total_cloud: Money::ZERO,
+            private_vm_ms: 0,
+            cloud_vm_ms: 0,
         }
     }
 }
@@ -110,13 +121,16 @@ impl Ledger {
         rate: VmRate,
     ) -> Money {
         assert!(to >= from, "billing interval must not be negative");
-        let cost = rate.cost_for(to.since(from));
+        let span = to.since(from);
+        let cost = rate.cost_for(span);
         self.charges += 1;
         self.total += cost;
         if location.is_private() {
             self.total_private += cost;
+            self.private_vm_ms += span.as_millis();
         } else {
             self.total_cloud += cost;
+            self.cloud_vm_ms += span.as_millis();
         }
         if self.retain_entries {
             self.entries.push(LedgerEntry {
@@ -149,6 +163,18 @@ impl Ledger {
     /// Total of charges on cloud VMs. O(1).
     pub fn total_cloud(&self) -> Money {
         self.total_cloud
+    }
+
+    /// Billed private VM time [s], retained or not. Exact: summed in
+    /// integer milliseconds and converted on read.
+    pub fn private_vm_seconds(&self) -> f64 {
+        self.private_vm_ms as f64 / 1000.0
+    }
+
+    /// Billed cloud VM time [s], retained or not; exact like
+    /// [`Ledger::private_vm_seconds`].
+    pub fn cloud_vm_seconds(&self) -> f64 {
+        self.cloud_vm_ms as f64 / 1000.0
     }
 
     /// Total of retained charges matching a predicate. Requires entry
@@ -292,6 +318,8 @@ mod tests {
         assert_eq!(l.total_private(), Money::from_units(200));
         assert_eq!(l.total_cloud(), Money::from_units(400));
         assert_eq!(l.total(), Money::from_units(600));
+        assert_eq!(l.private_vm_seconds(), 100.0);
+        assert_eq!(l.cloud_vm_seconds(), 100.0);
         assert_eq!(l.len(), 2);
         assert!(!l.is_empty());
         assert!(l.entries().is_empty());
@@ -320,6 +348,14 @@ mod tests {
             l.total_where(|e| e.location.is_private())
         );
         assert_eq!(l.total_cloud(), l.total_where(|e| !e.location.is_private()));
+        assert_eq!(
+            l.private_vm_seconds(),
+            l.vm_seconds_where(|e| e.location.is_private())
+        );
+        assert_eq!(
+            l.cloud_vm_seconds(),
+            l.vm_seconds_where(|e| !e.location.is_private())
+        );
     }
 
     #[test]

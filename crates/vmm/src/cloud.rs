@@ -319,6 +319,11 @@ impl PublicCloud {
         self.vms.get(&id)
     }
 
+    /// Iterates over all leased VMs (released included) in id order.
+    pub fn vms(&self) -> impl Iterator<Item = &Vm> {
+        self.vms.values()
+    }
+
     /// Recounts the `active` counter against actual VM states and the
     /// lease quota. [`PublicCloud::active_count`] runs the same recount
     /// as a `debug_assert` on the hot path; this promotes it to a
@@ -539,6 +544,7 @@ mod tests {
             .unwrap();
         assert_eq!(id.host(), HostTag(1));
         assert_eq!(c.vm(id).unwrap().location, Location::Cloud(CloudId(0)));
+        assert_eq!(c.vms().map(|v| v.id).collect::<Vec<_>>(), vec![id]);
     }
 
     #[test]

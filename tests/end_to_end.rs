@@ -177,15 +177,18 @@ fn violation_detection_fires_before_completion() {
     let mut platform = Platform::new(cfg);
     platform.enqueue_workload(&workload);
     while platform.step() {}
-    let second = platform
-        .app(meryn_core::AppId(1))
+    let report = platform.finalize();
+    let second = report
+        .apps
+        .iter()
+        .find(|a| a.id == meryn_core::AppId(1))
         .expect("second app admitted");
-    assert!(second.violated());
+    assert!(second.violated);
     assert!(
         second.violation_detected.is_some(),
         "controller should have flagged the violation while running"
     );
-    assert!(second.violation_detected.unwrap() < second.completed_at().unwrap());
+    assert!(second.violation_detected.unwrap() < second.completed.unwrap());
 }
 
 #[test]

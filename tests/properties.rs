@@ -263,11 +263,17 @@ fn vm_ids_unique_across_pool_and_clouds() {
     for vm in platform.pool().vms() {
         assert!(seen.insert(vm.id), "duplicate id {:?}", vm.id);
     }
-    let ledger_vms: BTreeSet<_> = platform.ledger().entries().iter().map(|e| e.vm).collect();
-    // Cloud ids in the ledger must not collide with pool ids.
-    for vm in ledger_vms {
-        if !vm.host().0 == 0 {
-            assert!(!seen.contains(&vm), "cloud id collides with pool id");
-        }
+    // Cloud ids must not collide with pool ids, nor with each other.
+    let mut cloud_vms = 0;
+    for vm in platform.clouds().iter().flat_map(|c| c.vms()) {
+        assert_ne!(
+            vm.id.host().0,
+            0,
+            "cloud VM {:?} carries the pool tag",
+            vm.id
+        );
+        assert!(seen.insert(vm.id), "cloud id {:?} collides", vm.id);
+        cloud_vms += 1;
     }
+    assert!(cloud_vms > 0, "the run must lease cloud VMs to check them");
 }

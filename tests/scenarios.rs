@@ -194,9 +194,7 @@ fn ledger_vm_seconds_match_series_integral() {
     let mut platform = Platform::new(PlatformConfig::paper("meryn"));
     platform.enqueue_workload(paper_workload(PaperWorkloadParams::default()));
     while platform.step() {}
-    let ledger_secs = platform
-        .ledger()
-        .vm_seconds_where(|e| e.location.is_private());
+    let ledger_secs = platform.ledger().private_vm_seconds();
     let report = platform.finalize();
     let series_secs = report
         .series

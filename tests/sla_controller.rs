@@ -86,28 +86,26 @@ fn report_mode_detects_each_violation_at_the_first_tick_past_its_deadline() {
     cfg.violation_policy = ViolationPolicy::Report;
     cfg.controller_check_interval = Some(SimDuration::from_millis(interval));
     let workload: Vec<Submission> = (0..40).map(queued_sub).collect();
-    let mut platform = Platform::new(cfg);
-    platform.enqueue_workload(&workload);
-    platform.run_to_completion();
+    let report = Platform::new(cfg).run(&workload);
+    assert_eq!(
+        report.apps.len(),
+        workload.len(),
+        "every submission is admitted"
+    );
 
     let (mut detected, mut in_time) = (0, 0);
-    for i in 0..workload.len() as u64 {
-        let app = platform
-            .app(AppId(i))
-            .expect("every submission is admitted");
-        let completed = app.completed_at().expect("a queue with no cloud drains");
+    for (i, app) in report.apps.iter().enumerate() {
+        assert_eq!(app.id, AppId(i as u64), "records list in AppId order");
+        let completed = app.completed.expect("a queue with no cloud drains");
         // The first multiple of the interval strictly after the deadline.
-        let due = SimTime::from_millis(
-            (app.contract.deadline_at().as_millis() / interval + 1) * interval,
-        );
+        let due = SimTime::from_millis((app.deadline.as_millis() / interval + 1) * interval);
         // A completion on `due` itself is detected: the check was armed
         // at admission, so its tag precedes the completion's.
         let expected = (completed >= due).then_some(due);
         assert_eq!(
-            app.violation_detected,
-            expected,
+            app.violation_detected, expected,
             "app {i}: deadline {:?}, completed {completed:?}",
-            app.contract.deadline_at()
+            app.deadline
         );
         if expected.is_some() {
             detected += 1;
@@ -155,13 +153,14 @@ fn report_mode_detects_a_completion_on_the_check_instant() {
             UserStrategy::AcceptCheapest,
         )
     };
-    let mut platform = Platform::new(cfg);
-    platform.enqueue_workload([sub(20), sub(40)]);
-    platform.run_to_completion();
-    let second = platform.app(AppId(1)).expect("admitted");
-    assert_eq!(second.contract.deadline_at(), SimTime::from_secs(40));
-    assert_eq!(second.completed_at(), Some(SimTime::from_secs(60)));
+    let report = Platform::new(cfg).run([sub(20), sub(40)]);
+    let [first, second] = &report.apps[..] else {
+        panic!("both submissions are admitted: {:?}", report.apps);
+    };
+    assert_eq!(second.id, AppId(1));
+    assert_eq!(second.deadline, SimTime::from_secs(40));
+    assert_eq!(second.completed, Some(SimTime::from_secs(60)));
     assert_eq!(second.violation_detected, Some(SimTime::from_secs(60)));
-    let first = platform.app(AppId(0)).expect("admitted");
+    assert_eq!(first.id, AppId(0));
     assert_eq!(first.violation_detected, None, "finished on its deadline");
 }
