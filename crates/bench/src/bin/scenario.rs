@@ -43,7 +43,7 @@
 //! torn report or checkpoint behind. A malformed spec, an unreadable
 //! input or an unwritable output exits 2 with a diagnostic.
 
-use meryn_core::EngineCheckpoint;
+use meryn_core::{CheckpointHeader, EngineCheckpoint};
 use meryn_scenario::{
     bench_scenario, catalog, publish_atomically, run_scenario, single_run_resume, single_run_start,
     Scenario,
@@ -183,15 +183,19 @@ fn main() {
     if let Some(cp_path) = resume_path {
         let text = std::fs::read_to_string(&cp_path)
             .unwrap_or_else(|e| fail(format!("cannot read checkpoint {cp_path}: {e}")));
-        let cp: EngineCheckpoint = serde_json::from_str(&text).unwrap_or_else(|e| {
+        let invalid = |e: serde_json::Error| -> ! {
             fail(format!(
                 "{cp_path} is not a valid engine checkpoint \
                  (truncated, corrupt or from an older build?): {e}"
             ))
-        });
-        if let Err(e) = cp.check_format() {
+        };
+        // The layout number first: another layout is refused by it,
+        // whatever shape the rest of the file has.
+        let header: CheckpointHeader = serde_json::from_str(&text).unwrap_or_else(|e| invalid(e));
+        if let Err(e) = header.check() {
             fail(format!("{cp_path}: {e}"));
         }
+        let cp: EngineCheckpoint = serde_json::from_str(&text).unwrap_or_else(|e| invalid(e));
         if let Err(e) = scenario.check_checkpoint(&cp) {
             fail(format!(
                 "cannot resume {} from {cp_path}: {e}",

@@ -265,7 +265,7 @@ fn resume_rejects_a_missing_or_mismatched_format_with_exit_2() {
     assert!(!stderr.contains("panicked"), "no panic backtrace: {stderr}");
 
     // Claiming a layout this build does not know.
-    let mut future = fields;
+    let mut future = fields.clone();
     for (k, v) in &mut future {
         if k == "format" {
             *v = Value::U64(999);
@@ -281,7 +281,8 @@ fn resume_rejects_a_missing_or_mismatched_format_with_exit_2() {
 
     // Layout 3: a full-mode run kept its completed applications in the
     // shards; it wrote no retired records and named the completion
-    // instant `agg_completion`. It parses, and its number is refused.
+    // instant `agg_completion`. Its number is refused before the rest
+    // of the file is read.
     let mut layout_3 = future.clone();
     layout_3.retain(|(k, _)| k != "records");
     for (k, v) in &mut layout_3 {
@@ -299,6 +300,22 @@ fn resume_rejects_a_missing_or_mismatched_format_with_exit_2() {
     );
     assert!(!stderr.contains("panicked"), "no panic backtrace: {stderr}");
 
+    // Layout 4: the pool and the clouds kept every terminated VM. Its
+    // number is refused before the rest of the file is read.
+    let mut layout_4 = future.clone();
+    for (k, v) in &mut layout_4 {
+        if k == "format" {
+            *v = Value::U64(4);
+        }
+    }
+    let (code, stderr) = resume(&spec, &write_object(&spec, "layout-4.json", layout_4));
+    assert_eq!(code, Some(2), "format-4 checkpoint → exit 2: {stderr}");
+    assert!(
+        stderr.contains("checkpoint format 4"),
+        "diagnostic names the format: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "no panic backtrace: {stderr}");
+
     // Layout 2: a bulk-enqueued run kept its pending arrivals in the
     // shard queues and wrote no arrival cursor.
     let mut layout_2 = future;
@@ -311,6 +328,22 @@ fn resume_rejects_a_missing_or_mismatched_format_with_exit_2() {
     }
     let (code, stderr) = resume(&spec, &write_object(&spec, "layout-2.json", layout_2));
     assert_eq!(code, Some(2), "format-2 checkpoint → exit 2: {stderr}");
+    assert!(
+        stderr.contains("checkpoint format 2"),
+        "diagnostic names the format: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "no panic backtrace: {stderr}");
+
+    // This build's number over a body of another shape (no arrival
+    // cursor): it passes the number check and fails the parse.
+    let mut misshapen = fields;
+    for (k, v) in &mut misshapen {
+        if k == "arrivals" {
+            *v = Value::Null;
+        }
+    }
+    let (code, stderr) = resume(&spec, &write_object(&spec, "misshapen.json", misshapen));
+    assert_eq!(code, Some(2), "misshapen checkpoint → exit 2: {stderr}");
     assert!(
         stderr.contains("not a valid engine checkpoint"),
         "diagnostic names the failure: {stderr}"

@@ -238,19 +238,51 @@ impl std::error::Error for StreamError {}
 
 /// Layout version of [`EngineCheckpoint`], written into every
 /// checkpoint's required `format` field. Bump it whenever the captured
-/// state changes shape. Layout 3 kept a full-mode run's completed
-/// applications in its shards, layout 2 a bulk-enqueued run's pending
-/// arrivals in its shard queues and layout 1 a control queue; none
-/// parses as layout 4, which holds retired applications as records.
-pub const CHECKPOINT_FORMAT: u32 = 4;
+/// state changes shape; a resume reads the number first
+/// ([`CheckpointHeader`]), so no older layout has to parse as this one.
+/// Layout 5's pool and clouds hold live VMs only (one map of live
+/// leases per cloud) and it holds retired applications as records.
+/// Layout 4 kept every terminated VM in the pool and clouds, with
+/// active counters and three lease maps per cloud; layout 3 kept a
+/// full-mode run's completed applications in its shards, layout 2 a
+/// bulk-enqueued run's pending arrivals in its shard queues and layout
+/// 1 a control queue.
+pub const CHECKPOINT_FORMAT: u32 = 5;
+
+/// The one field every checkpoint layout carries. A resume parses it
+/// before the rest of the file and refuses another layout by its
+/// number, whatever shape the rest has.
+#[derive(Debug, Clone, Copy, Deserialize)]
+pub struct CheckpointHeader {
+    /// Layout version; [`CHECKPOINT_FORMAT`] when written by this build.
+    pub format: u32,
+}
+
+impl CheckpointHeader {
+    /// Checks that this build can resume the checkpoint's layout.
+    ///
+    /// # Errors
+    /// A `format` other than [`CHECKPOINT_FORMAT`].
+    pub fn check(self) -> Result<(), String> {
+        if self.format == CHECKPOINT_FORMAT {
+            Ok(())
+        } else {
+            Err(format!(
+                "checkpoint format {} cannot be resumed by this build (expects format \
+                 {CHECKPOINT_FORMAT})",
+                self.format
+            ))
+        }
+    }
+}
 
 /// A full engine snapshot: every shard (live applications, framework
-/// masters and event queues included), the shared fabric (pool, clouds,
-/// ledger totals, metrics, RNG stream positions), the retired
-/// applications' records or aggregates, the global sequence counter
-/// and the arrival stream's cursor. Serializable with serde; resuming
-/// from it with the same workload reproduces the uninterrupted run
-/// byte-for-byte at any thread count.
+/// masters and event queues included), the shared fabric (live pool VMs
+/// and cloud leases, ledger totals, metrics, RNG stream positions), the
+/// retired applications' records or aggregates, the global sequence
+/// counter and the arrival stream's cursor. Serializable with serde;
+/// resuming from it with the same workload reproduces the
+/// uninterrupted run byte-for-byte at any thread count.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct EngineCheckpoint {
     /// Layout version; [`CHECKPOINT_FORMAT`] when written by this build.
@@ -265,33 +297,13 @@ pub struct EngineCheckpoint {
     app_vc: Vec<VcId>,
     next_app: u64,
     aggregate: Option<AggregateReport>,
-    // Added in layout 4 and defaulted, so that a layout-3 file parses
-    // far enough for `check_format` to reject it by its number.
-    #[serde(default)]
     records: Vec<AppRecord>,
-    #[serde(default)]
     completion: SimTime,
     arrivals: ArrivalCursor,
     parallel_runs: u64,
 }
 
 impl EngineCheckpoint {
-    /// Checks that this build can resume the checkpoint's layout.
-    ///
-    /// # Errors
-    /// A `format` other than [`CHECKPOINT_FORMAT`].
-    pub fn check_format(&self) -> Result<(), String> {
-        if self.format == CHECKPOINT_FORMAT {
-            Ok(())
-        } else {
-            Err(format!(
-                "checkpoint format {} cannot be resumed by this build (expects format \
-                 {CHECKPOINT_FORMAT})",
-                self.format
-            ))
-        }
-    }
-
     /// Submissions in the checkpointed run's workload — the size of the
     /// tag block reserved when it was attached (0 if none was). A
     /// resume must hand back a workload of exactly this size.
@@ -500,7 +512,8 @@ impl Platform {
     }
 
     /// Selects where the run's per-application records go; must be
-    /// chosen before the run starts.
+    /// chosen before the run starts and before a workload is attached,
+    /// which sizes a full-mode run's record list.
     ///
     /// Engine state is O(live) in either mode: every completed
     /// application retires at its canonical effect position. Under
@@ -511,8 +524,8 @@ impl Platform {
     /// configuration.
     pub fn with_report_mode(mut self, mode: ReportMode) -> Self {
         assert!(
-            self.now == SimTime::ZERO && self.next_app == 0,
-            "report mode must be chosen before the run starts"
+            self.now == SimTime::ZERO && self.next_app == 0 && self.arrivals.is_none(),
+            "report mode must be chosen before the run starts and before a workload is attached"
         );
         self.aggregate =
             (mode == ReportMode::Aggregate).then(|| AggregateReport::new(self.shards.len()));
@@ -551,10 +564,11 @@ impl Platform {
     }
 
     /// Audits the shared fabric's conservation invariants (see
-    /// [`SharedFabric::audit_invariants`]): active-VM counters recounted
-    /// against VM states, busy counters bounded by active ones. `Err`
-    /// carries the first violated invariant. Holds between runs — after
-    /// [`Self::step`], [`Self::run_until`] or a restore.
+    /// [`SharedFabric::audit_invariants`]): pool and clouds list live
+    /// VMs only, within capacity, and busy counters are bounded by the
+    /// live VMs. `Err` carries the first violated invariant. Holds
+    /// between runs — after [`Self::step`], [`Self::run_until`] or a
+    /// restore.
     pub fn audit_invariants(&self) -> Result<(), String> {
         self.fabric.audit_invariants()
     }
@@ -623,7 +637,8 @@ impl Platform {
     ///
     /// The iterator must yield submissions in nondecreasing `at` order
     /// (workload generators do) and at most `count` of them. Attach it
-    /// before the run starts.
+    /// before the run starts. A full-mode run files at most one record
+    /// per submission, so its record list is sized here, once.
     ///
     /// # Panics
     /// When a workload is already attached: one workload per run.
@@ -638,6 +653,9 @@ impl Platform {
         );
         let first_seq = self.next_seq;
         self.next_seq += count;
+        if self.aggregate.is_none() {
+            self.records.reserve_exact(count as usize);
+        }
         self.arrivals = Some(ArrivalSource {
             iter: Box::new(workload.into_iter().fuse()),
             head: None,
@@ -1418,8 +1436,8 @@ impl Platform {
     ///
     /// # Panics
     /// When the layout differs from this build's (vet untrusted files
-    /// with [`EngineCheckpoint::check_format`] first) or the workload
-    /// is shorter than the checkpoint's cursor.
+    /// with [`CheckpointHeader::check`] first) or the workload is
+    /// shorter than the checkpoint's cursor.
     pub fn from_checkpoint<I>(cp: EngineCheckpoint, workload: I) -> Self
     where
         I: IntoIterator<Item = Submission>,
@@ -1435,14 +1453,14 @@ impl Platform {
             app_vc,
             next_app,
             aggregate,
-            records,
+            mut records,
             completion,
             arrivals,
             parallel_runs,
         } = cp;
         assert_eq!(
             format, CHECKPOINT_FORMAT,
-            "checkpoint layout mismatch; see EngineCheckpoint::check_format"
+            "checkpoint layout mismatch; see CheckpointHeader::check"
         );
         cfg.validate();
         let placement = policy::placement(&cfg.policy).expect("validated policy resolves");
@@ -1452,6 +1470,11 @@ impl Platform {
             .into_iter()
             .map(|s| VcShard::from_snapshot(s, policy))
             .collect();
+        if aggregate.is_none() {
+            // Size the record list once for the rest of the run, as
+            // `stream_workload` does for a fresh one.
+            records.reserve_exact((arrivals.count as usize).saturating_sub(records.len()));
+        }
         let mut iter = workload.into_iter().fuse();
         for _ in 0..arrivals.emitted {
             iter.next()

@@ -278,13 +278,13 @@ impl SharedFabric {
         (self.busy_private, self.busy_cloud)
     }
 
-    /// Audits the fabric's conservation invariants, promoting the hot
-    /// path's `debug_assert`s to release-mode checks: the pool and
-    /// every cloud recount their active counters against VM states,
-    /// and the busy counters (VMs doing work) can't exceed the VMs
-    /// holding resources. Meant for quiescent points — after a restore,
-    /// after a run drains — where any violation means a state-machine
-    /// or snapshot bug, not a transient.
+    /// Audits the fabric's conservation invariants: the pool and every
+    /// cloud list live VMs only (each holds resources) within their
+    /// capacity or quota, and the busy counters (VMs doing work) can't
+    /// exceed the VMs holding resources. Meant for quiescent points —
+    /// after a restore, between runs, after a run drains — where any
+    /// violation means a state-machine or snapshot bug, not a
+    /// transient.
     pub fn audit_invariants(&self) -> Result<(), String> {
         self.pool.audit()?;
         for cloud in &self.clouds {

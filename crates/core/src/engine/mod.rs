@@ -35,6 +35,6 @@ mod fabric;
 mod shard;
 
 pub use effects::{Effect, EffectKey, EffectSink, SequencedEffect};
-pub use executor::{EngineCheckpoint, Platform, StreamError, CHECKPOINT_FORMAT};
+pub use executor::{CheckpointHeader, EngineCheckpoint, Platform, StreamError, CHECKPOINT_FORMAT};
 pub use fabric::SharedFabric;
 pub use shard::{ShardSnapshot, VcShard};

@@ -54,6 +54,6 @@ pub mod protocol;
 pub mod report;
 
 pub use config::PlatformConfig;
-pub use engine::{EngineCheckpoint, Platform};
+pub use engine::{CheckpointHeader, EngineCheckpoint, Platform};
 pub use ids::{AppId, Placement, VcId};
 pub use report::{ReportMode, RunReport};

@@ -310,6 +310,18 @@ impl RunReport {
         }
     }
 
+    /// The run's headline numbers (see [`Headline`]).
+    pub fn headline(&self) -> Headline {
+        let all = self.group(None);
+        Headline {
+            completion_secs: self.completion_secs(),
+            avg_cost_units: all.avg_cost_units,
+            total_cost: all.total_cost,
+            peak_cloud: self.peak_cloud,
+            violations: all.violations,
+        }
+    }
+
     /// Admitted applications (record count in full mode, fold count in
     /// aggregate mode).
     pub fn apps_count(&self) -> usize {
@@ -415,6 +427,22 @@ impl RunReport {
     }
 }
 
+/// The handful of numbers a comparison and a replica fold read from one
+/// run, so a caller can drop the run's records once it has them.
+#[derive(Debug, Clone, Copy)]
+pub struct Headline {
+    /// Workload completion time [s].
+    pub completion_secs: f64,
+    /// All-apps mean provider cost [units].
+    pub avg_cost_units: f64,
+    /// Total provider cost.
+    pub total_cost: Money,
+    /// Peak concurrent cloud VMs.
+    pub peak_cloud: f64,
+    /// Deadline violations.
+    pub violations: usize,
+}
+
 /// Side-by-side comparison of two runs (the shape of Figure 6).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Comparison {
@@ -430,15 +458,13 @@ pub struct Comparison {
     pub peak_cloud_b: f64,
 }
 
-/// Compares run `a` (typically Meryn) against `b` (typically static).
-pub fn compare(a: &RunReport, b: &RunReport) -> Comparison {
+/// Compares run `a` (typically Meryn) against `b` (typically static),
+/// from their headlines ([`RunReport::headline`]).
+pub fn compare(a: &Headline, b: &Headline) -> Comparison {
     Comparison {
-        completion_improvement_pct: improvement_pct(b.completion_secs(), a.completion_secs()),
-        cost_improvement_pct: improvement_pct(
-            b.group(None).avg_cost_units,
-            a.group(None).avg_cost_units,
-        ),
-        cost_saved: b.total_cost() - a.total_cost(),
+        completion_improvement_pct: improvement_pct(b.completion_secs, a.completion_secs),
+        cost_improvement_pct: improvement_pct(b.avg_cost_units, a.avg_cost_units),
+        cost_saved: b.total_cost - a.total_cost,
         peak_cloud_a: a.peak_cloud,
         peak_cloud_b: b.peak_cloud,
     }
@@ -542,6 +568,8 @@ mod tests {
             assert!((a.avg_exec_secs - b.avg_exec_secs).abs() < 1e-9);
             assert!((a.avg_cost_units - b.avg_cost_units).abs() < 1e-9);
         }
+        let (a, b) = (lean.headline(), full.headline());
+        assert_eq!((a.total_cost, a.violations), (b.total_cost, b.violations));
         let (mean, max) = lean.processing_mean_max_secs();
         assert_eq!((mean, max), full.processing_mean_max_secs());
         assert_eq!(mean, 10.0);
@@ -602,7 +630,7 @@ mod tests {
         stat.completion_time = SimTime::from_secs(2091);
         let mut meryn = meryn;
         meryn.completion_time = SimTime::from_secs(2021);
-        let c = compare(&meryn, &stat);
+        let c = compare(&meryn.headline(), &stat.headline());
         assert!(c.completion_improvement_pct > 3.0);
         assert!(c.cost_improvement_pct > 14.0);
         assert_eq!(c.cost_saved, Money::from_units(716));

@@ -1,15 +1,18 @@
 //! End-to-end checks of the `Platform` engine API on small
 //! deployments: placement outcomes per policy, lease tear-down,
 //! suspension lending, rejection paths, retirement of completed
-//! applications, determinism and the per-shard event breakdown.
+//! applications and of terminated VMs, determinism and the per-shard
+//! event breakdown.
 
 use meryn_core::config::{PlatformConfig, VcConfig};
+use meryn_core::report::ReportMode;
 use meryn_core::{AppId, Platform};
 use meryn_frameworks::{JobSpec, ScalingLaw};
 use meryn_sim::{SimDuration, SimTime};
 use meryn_sla::negotiation::UserStrategy;
 use meryn_sla::Money;
-use meryn_workloads::{Submission, VcTarget};
+use meryn_vmm::VmId;
+use meryn_workloads::{paper_workload, PaperWorkloadParams, Submission, VcTarget};
 
 fn batch_sub(at_secs: u64, vc: usize, work_secs: u64) -> Submission {
     Submission::new(
@@ -114,6 +117,50 @@ fn cloud_vms_are_released_after_completion() {
     assert!(report.cloud_bill > Money::ZERO);
     // The series returns to zero at the end.
     assert_eq!(report.series.get(1).last(), 0.0);
+}
+
+/// The pool and the clouds hold live VMs only: once the paper workload
+/// drains, the pool lists exactly the VC slaves (every private slot is
+/// one from deployment on; a transfer or a return stops a slave and
+/// boots its replacement), all running, and no cloud lists a VM.
+#[test]
+fn a_drained_paper_run_holds_only_the_vc_slaves() {
+    let workload = paper_workload(PaperWorkloadParams::default());
+    for policy in ["meryn", "static"] {
+        let cfg = PlatformConfig::paper(policy);
+        let slaves: u64 = cfg.vcs.iter().map(|v| v.initial_vms).sum();
+        let mut platform = Platform::new(cfg);
+        let deployed: Vec<VmId> = platform.pool().vms().map(|vm| vm.id).collect();
+        assert_eq!(deployed.len() as u64, slaves);
+        platform.enqueue_workload(&workload);
+        platform.run_to_completion();
+
+        let pool = platform.pool();
+        assert!(
+            pool.vms().all(|vm| vm.is_running()),
+            "{policy}: every listed pool VM is a running slave"
+        );
+        assert_eq!(pool.vms().count() as u64, slaves, "{policy}");
+        assert_eq!(pool.active_count(), slaves, "{policy}");
+        for cloud in platform.clouds() {
+            assert_eq!(cloud.vms().count(), 0, "{policy}: no cloud VM is left");
+            assert_eq!(cloud.active_count(), 0, "{policy}");
+        }
+        platform.audit_invariants().unwrap();
+        let live: Vec<VmId> = platform.pool().vms().map(|vm| vm.id).collect();
+        let report = platform.finalize();
+        assert!(report.bursts > 0, "{policy}: the run leased cloud VMs");
+        if policy == "static" {
+            // No VM ever changes VC: the deployment's slaves are the
+            // ones left.
+            assert_eq!(report.transfers, 0);
+            assert_eq!(live, deployed);
+        } else {
+            // Transfers stopped slaves, which left the pool.
+            assert!(report.transfers > 0);
+            assert_ne!(live, deployed);
+        }
+    }
 }
 
 #[test]
@@ -265,6 +312,16 @@ fn completed_apps_retire_into_their_records() {
         "app 2 completed, and retired, first"
     );
     assert_eq!(report.completion_time, first_done);
+}
+
+/// The report mode is chosen before a workload is attached: attaching a
+/// full-mode workload sizes the record list for it.
+#[test]
+#[should_panic(expected = "before a workload is attached")]
+fn report_mode_cannot_follow_the_workload() {
+    let mut platform = Platform::new(small_cfg("meryn"));
+    platform.enqueue_workload([batch_sub(0, 0, 10)]);
+    let _ = platform.with_report_mode(ReportMode::Aggregate);
 }
 
 #[test]

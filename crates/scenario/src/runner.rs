@@ -14,7 +14,7 @@
 use std::io;
 
 use meryn_core::config::PlatformConfig;
-use meryn_core::report::{compare, ReportMode, RunReport};
+use meryn_core::report::{compare, Headline, ReportMode, RunReport};
 use meryn_core::{EngineCheckpoint, Platform, VcId};
 use meryn_sim::metrics::SeriesSet;
 use meryn_sim::{SimDuration, SimRng};
@@ -23,7 +23,7 @@ use meryn_workloads::Submission;
 use serde::Serialize;
 
 use crate::paper::{paper_range, TABLE1_CASES};
-use crate::spec::{Scenario, WorkloadModifier, WorkloadSpec};
+use crate::spec::{OutputSpec, Scenario, WorkloadModifier, WorkloadSpec};
 use crate::sweep::{case_sweep, fanout, ReplicaStats};
 
 /// One expanded sweep variant: a concrete platform config plus the
@@ -309,6 +309,39 @@ impl RunSummary {
     }
 }
 
+/// What one [`run_scenario`] job keeps of its run: the headline every
+/// job yields and, for a base-seed run, the report sections the spec
+/// asks for. The job drops the run's records once these are taken, so
+/// at most one record list per worker is alive.
+struct JobResult {
+    headline: Headline,
+    summary: Option<RunSummary>,
+    placements: Option<Vec<(String, usize)>>,
+    series: Option<SeriesSet>,
+}
+
+impl JobResult {
+    /// Reduces a finished run; `base` marks the base-seed run, whose
+    /// sections the report prints.
+    fn new(report: RunReport, variant: &Variant, outputs: &OutputSpec, base: bool) -> Self {
+        let vc_names = || {
+            variant
+                .cfg
+                .vcs
+                .iter()
+                .map(|v| v.name.clone())
+                .collect::<Vec<_>>()
+        };
+        JobResult {
+            headline: report.headline(),
+            summary: (base && outputs.summary)
+                .then(|| RunSummary::from_report(&report, &vc_names())),
+            placements: (base && outputs.placements).then(|| report.placement_counts()),
+            series: (base && outputs.series).then_some(report.series),
+        }
+    }
+}
+
 /// One variant's results.
 #[derive(Debug, Clone, Serialize)]
 pub struct VariantReport {
@@ -414,51 +447,28 @@ pub fn run_scenario(scenario: &Scenario) -> io::Result<ScenarioReport> {
 
     // One job per (variant, seed): the base-seed headline run first
     // (when needed), then the derived replica streams. Flat fanout,
-    // order preserved; each job builds its own arrival stream.
-    let mut jobs: Vec<(&Variant, u64)> = Vec::new();
+    // order preserved; each job builds its own arrival stream and
+    // reduces its report before it returns.
+    let mut jobs: Vec<(&Variant, u64, bool)> = Vec::new();
     for variant in &variants {
         if with_base {
-            jobs.push((variant, base_seed));
+            jobs.push((variant, base_seed, true));
         }
         for i in 0..replicas {
-            jobs.push((variant, SimRng::stream_seed(base_seed, i)));
+            jobs.push((variant, SimRng::stream_seed(base_seed, i), false));
         }
     }
-    let reports = fanout(jobs, |(variant, seed)| {
+    let results = fanout(jobs, |(variant, seed, base)| {
         let mut platform = build_run(scenario, variant, seed, None)?;
         platform.run_to_completion();
-        Ok(platform.finalize())
+        Ok(JobResult::new(platform.finalize(), variant, outputs, base))
     })
     .into_iter()
-    .collect::<io::Result<Vec<RunReport>>>()?;
+    .collect::<io::Result<Vec<JobResult>>>()?;
 
     let per_variant = replicas as usize + usize::from(with_base);
-    let mut variant_reports = Vec::with_capacity(variants.len());
-    for (vi, variant) in variants.iter().enumerate() {
-        let chunk = &reports[vi * per_variant..(vi + 1) * per_variant];
-        let base = with_base.then(|| &chunk[0]);
-        let replica_chunk = &chunk[usize::from(with_base)..];
-        let vc_names: Vec<String> = variant.cfg.vcs.iter().map(|v| v.name.clone()).collect();
-        variant_reports.push(VariantReport {
-            label: variant.label.clone(),
-            policy: variant.cfg.policy.clone(),
-            base: (outputs.summary).then(|| {
-                RunSummary::from_report(base.expect("summary implies a base run"), &vc_names)
-            }),
-            replicas: (replicas > 0).then(|| ReplicaStats::from_reports(replica_chunk)),
-            placements: (outputs.placements).then(|| {
-                base.expect("placements imply a base run")
-                    .placement_counts()
-            }),
-            series: (outputs.series)
-                .then(|| base.expect("series implies a base run").series.clone()),
-        });
-    }
-
     let comparison = (outputs.comparison && variants.len() >= 2).then(|| {
-        let a = &reports[0];
-        let b = &reports[per_variant];
-        let cmp = compare(a, b);
+        let cmp = compare(&results[0].headline, &results[per_variant].headline);
         ComparisonReport {
             a: variants[0].label.clone(),
             b: variants[1].label.clone(),
@@ -469,6 +479,31 @@ pub fn run_scenario(scenario: &Scenario) -> io::Result<ScenarioReport> {
             peak_cloud_b: cmp.peak_cloud_b,
         }
     });
+
+    let mut results = results.into_iter();
+    let variant_reports = variants
+        .iter()
+        .map(|variant| {
+            let base = if with_base { results.next() } else { None };
+            let replica_headlines: Vec<Headline> = results
+                .by_ref()
+                .take(replicas as usize)
+                .map(|r| r.headline)
+                .collect();
+            let (summary, placements, series) = match base {
+                Some(b) => (b.summary, b.placements, b.series),
+                None => (None, None, None),
+            };
+            VariantReport {
+                label: variant.label.clone(),
+                policy: variant.cfg.policy.clone(),
+                base: summary,
+                replicas: (replicas > 0).then(|| ReplicaStats::from_headlines(&replica_headlines)),
+                placements,
+                series,
+            }
+        })
+        .collect();
 
     let table1 = outputs.table1_samples.map(|samples| {
         TABLE1_CASES

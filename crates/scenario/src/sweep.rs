@@ -16,7 +16,7 @@
 //!    and multi-threaded sweeps produce byte-identical aggregates
 //!    (`tests/parallel_determinism.rs` locks this down).
 
-use meryn_core::report::RunReport;
+use meryn_core::report::{Headline, RunReport};
 use meryn_sim::stats::{OnlineStats, Summary};
 use meryn_sim::SimRng;
 use rayon::prelude::*;
@@ -73,7 +73,7 @@ pub fn paper_reports(policy: &str, base_seed: u64, replicas: u64) -> Vec<RunRepo
 ///
 /// Determinism caveat: the underlying Welford accumulators are
 /// insertion-order-sensitive at the bit level, so thread-count
-/// independence comes from [`Self::from_reports`] always folding in
+/// independence comes from [`Self::from_headlines`] always folding in
 /// replica order (after the order-preserving parallel collect) — do not
 /// feed results in completion order.
 #[derive(Debug, Clone, Serialize)]
@@ -89,28 +89,31 @@ pub struct ReplicaStats {
 }
 
 impl ReplicaStats {
-    /// Folds the reports in the given (replica) order.
-    pub fn from_reports(reports: &[RunReport]) -> Self {
+    /// Folds the runs' headlines ([`RunReport::headline`]) in the given
+    /// (replica) order.
+    pub fn from_headlines(headlines: &[Headline]) -> Self {
         let mut stats = ReplicaStats {
             completion: OnlineStats::new(),
             cost: OnlineStats::new(),
             peak_cloud: OnlineStats::new(),
             violations: OnlineStats::new(),
         };
-        for r in reports {
-            stats.completion.push(r.completion_secs());
-            stats.cost.push(r.total_cost().as_units_f64());
-            stats.peak_cloud.push(r.peak_cloud);
-            stats.violations.push(r.violations() as f64);
+        for h in headlines {
+            stats.completion.push(h.completion_secs);
+            stats.cost.push(h.total_cost.as_units_f64());
+            stats.peak_cloud.push(h.peak_cloud);
+            stats.violations.push(h.violations as f64);
         }
         stats
     }
 }
 
-/// Sweeps the paper scenario for one policy: seed fanout, parallel runs,
-/// aggregation in replica order.
+/// Sweeps the paper scenario for one policy: seed fanout, parallel runs
+/// (each reduced to its headline), aggregation in replica order.
 pub fn paper_sweep(policy: &str, base_seed: u64, replicas: u64) -> ReplicaStats {
-    ReplicaStats::from_reports(&paper_reports(policy, base_seed, replicas))
+    ReplicaStats::from_headlines(&fanout_seeds(base_seed, replicas, |seed| {
+        run_paper(policy, seed).headline()
+    }))
 }
 
 /// Sweeps one Table 1 placement case over `samples` derived seeds and

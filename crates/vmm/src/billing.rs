@@ -54,13 +54,8 @@ pub struct Ledger {
     total_private: Money,
     total_cloud: Money,
     /// Billed private VM time [ms]: integer, so the total is exact.
-    /// Both VM-time totals default, so that an engine checkpoint
-    /// written before they existed still parses far enough to be
-    /// rejected by its layout number.
-    #[serde(default)]
     private_vm_ms: u64,
     /// Billed cloud VM time [ms].
-    #[serde(default)]
     cloud_vm_ms: u64,
 }
 

@@ -4,10 +4,13 @@
 //! current market VM prices and gets the cheapest cloud VM price" (§4.1),
 //! then leases VMs from the winner. A [`PublicCloud`] quotes a
 //! time-dependent price, enforces image pre-staging (§3.5) and drives
-//! leased-VM lifecycles. The evaluation "assumes that the VM hosting
-//! capacity in the public cloud is infinite"; a quota is still available
-//! for ablations.
+//! leased-VM lifecycles. It holds live leases only: a lease leaves the
+//! cloud when its release completes or its VM crashes, and the
+//! [`LeaseClose`] it returns is the lease's last trace. The evaluation
+//! "assumes that the VM hosting capacity in the public cloud is
+//! infinite"; a quota is still available for ablations.
 
+use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
@@ -114,6 +117,33 @@ pub struct LeaseClose {
     pub cost: Money,
 }
 
+/// One live lease: the leased VM, the rate locked when the lease began
+/// and the instant it became billable (provisioning completed).
+#[derive(Debug, Clone, Serialize, Deserialize)]
+struct Lease {
+    vm: Vm,
+    rate: VmRate,
+    billable_from: Option<SimTime>,
+}
+
+impl Lease {
+    /// Closes the lease at `now`: billed from the instant it became
+    /// billable at its locked rate, or free if it never did (a crash
+    /// while provisioning; a release always follows provisioning,
+    /// because only a running VM can begin stopping).
+    fn close(self, now: SimTime) -> LeaseClose {
+        let running_for = self
+            .billable_from
+            .map_or(SimDuration::ZERO, |from| now.since(from));
+        LeaseClose {
+            vm: self.vm.id,
+            running_for,
+            rate: self.rate,
+            cost: self.rate.cost_for(running_for),
+        }
+    }
+}
+
 /// A public IaaS cloud.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct PublicCloud {
@@ -121,9 +151,9 @@ pub struct PublicCloud {
     pub id: CloudId,
     name: String,
     tag: HostTag,
-    vms: BTreeMap<VmId, Vm>,
-    lease_rates: BTreeMap<VmId, VmRate>,
-    lease_started: BTreeMap<VmId, SimTime>,
+    /// Live leases (starting, running or stopping VMs); the map's
+    /// length is the active count.
+    leases: BTreeMap<VmId, Lease>,
     serial: u64,
     price: PriceModel,
     provision: LatencyModel,
@@ -131,11 +161,6 @@ pub struct PublicCloud {
     speed: f64,
     quota: Option<u64>,
     staged: BTreeSet<ImageId>,
-    /// Leases currently holding resources; maintained as a counter
-    /// because `vms` is append-only history and `can_lease` runs on the
-    /// placement hot path for every arrival. No serde default: a
-    /// snapshot missing the field must fail loudly, not desync.
-    active: u64,
     /// Serialized with the cloud so a restored checkpoint resumes its
     /// latency stream exactly where the snapshot left it.
     rng: SimRng,
@@ -180,9 +205,7 @@ impl PublicCloud {
             name: name.into(),
             // Host tags 1.. belong to clouds (0 is the private pool).
             tag: HostTag(id.0 + 1),
-            vms: BTreeMap::new(),
-            lease_rates: BTreeMap::new(),
-            lease_started: BTreeMap::new(),
+            leases: BTreeMap::new(),
             serial: 0,
             price,
             provision,
@@ -190,7 +213,6 @@ impl PublicCloud {
             speed,
             quota,
             staged: BTreeSet::new(),
-            active: 0,
             rng,
             outages: Vec::new(),
             rejection_prob: 0.0,
@@ -296,56 +318,45 @@ impl PublicCloud {
         Ok(())
     }
 
-    /// VMs currently holding resources here.
+    /// VMs currently holding resources here: the live leases.
     pub fn active_count(&self) -> u64 {
-        debug_assert_eq!(
-            self.active,
-            self.vms
-                .values()
-                .filter(|v| v.state().holds_resources())
-                .count() as u64,
-            "active counter out of sync"
-        );
-        self.active
+        self.leases.len() as u64
     }
 
     /// VMs currently usable.
     pub fn running_count(&self) -> u64 {
-        self.vms.values().filter(|v| v.is_running()).count() as u64
+        self.vms().filter(|v| v.is_running()).count() as u64
     }
 
-    /// Looks a VM up.
+    /// Looks a leased VM up: `None` once its lease has closed, and for
+    /// ids never issued.
     pub fn vm(&self, id: VmId) -> Option<&Vm> {
-        self.vms.get(&id)
+        self.leases.get(&id).map(|l| &l.vm)
     }
 
-    /// Iterates over all leased VMs (released included) in id order.
+    /// Iterates over the VMs of the live leases in id order.
     pub fn vms(&self) -> impl Iterator<Item = &Vm> {
-        self.vms.values()
+        self.leases.values().map(|l| &l.vm)
     }
 
-    /// Recounts the `active` counter against actual VM states and the
-    /// lease quota. [`PublicCloud::active_count`] runs the same recount
-    /// as a `debug_assert` on the hot path; this promotes it to a
-    /// `Result` so checkpoint/restore tests can audit a restored cloud
-    /// in release builds too.
+    /// Checks the cloud's conservation invariants: every listed VM
+    /// holds resources and the live leases fit the quota. Meant for
+    /// quiescent points — after a restore, between runs — so a
+    /// checkpoint/restore test can audit a restored cloud in release
+    /// builds too.
     pub fn audit(&self) -> Result<(), String> {
-        let counted = self
-            .vms
-            .values()
-            .filter(|v| v.state().holds_resources())
-            .count() as u64;
-        if counted != self.active {
+        if let Some(vm) = self.vms().find(|v| !v.state().holds_resources()) {
             return Err(format!(
-                "cloud {} active counter desynced: counter {} vs {counted} VMs holding resources",
-                self.name, self.active
+                "cloud {} lists {:?}, which holds no resources",
+                self.name, vm.id
             ));
         }
         if let Some(q) = self.quota {
-            if self.active > q {
+            let active = self.active_count();
+            if active > q {
                 return Err(format!(
-                    "cloud {} over quota: {} active VMs on a quota of {q}",
-                    self.name, self.active
+                    "cloud {} over quota: {active} active VMs on a quota of {q}",
+                    self.name
                 ));
             }
         }
@@ -381,78 +392,66 @@ impl PublicCloud {
             self.speed,
             now,
         );
-        self.vms.insert(id, vm);
-        self.active += 1;
         let rate = self.price.rate_at(now);
-        self.lease_rates.insert(id, rate);
+        self.leases.insert(
+            id,
+            Lease {
+                vm,
+                rate,
+                billable_from: None,
+            },
+        );
         Ok((id, self.provision.sample(&mut self.rng), rate))
     }
 
     /// Completes provisioning; the VM is usable (and billable) from `now`.
     pub fn complete_lease(&mut self, id: VmId, now: SimTime) -> Result<(), VmmError> {
-        self.vms
-            .get_mut(&id)
-            .ok_or(VmmError::UnknownVm(id))?
-            .complete_start(now)?;
-        self.lease_started.insert(id, now);
+        let lease = self.leases.get_mut(&id).ok_or(VmmError::UnknownVm(id))?;
+        lease.vm.complete_start(now)?;
+        lease.billable_from = Some(now);
         Ok(())
     }
 
     /// Begins releasing a leased VM; returns the stop duration.
     pub fn begin_release(&mut self, id: VmId, now: SimTime) -> Result<SimDuration, VmmError> {
-        self.vms
+        self.leases
             .get_mut(&id)
             .ok_or(VmmError::UnknownVm(id))?
+            .vm
             .begin_stop(now)?;
         Ok(self.stop.sample(&mut self.rng))
     }
 
-    /// Completes a release and closes the lease, returning what it cost.
+    /// Completes a release and closes the lease, returning what it cost;
+    /// the lease leaves the cloud.
     pub fn complete_release(&mut self, id: VmId, now: SimTime) -> Result<LeaseClose, VmmError> {
-        let vm = self.vms.get_mut(&id).ok_or(VmmError::UnknownVm(id))?;
-        vm.complete_stop(now)?;
-        self.active -= 1;
-        let rate = self
-            .lease_rates
-            .remove(&id)
-            .expect("leased VM must have a locked rate");
-        let started = self
-            .lease_started
-            .remove(&id)
-            .expect("released VM must have completed provisioning");
-        let running_for = now.since(started);
-        Ok(LeaseClose {
-            vm: id,
-            running_for,
-            rate,
-            cost: rate.cost_for(running_for),
-        })
+        self.close_lease(id, now, |vm| vm.complete_stop(now))
     }
 
     /// Crashes a leased VM at `now`, force-closing its lease: no
     /// `Stopping` interval, no stop-latency draw, billed through the
     /// crash instant at the locked rate. A lease crashed while still
     /// provisioning never became billable and closes at zero cost. The
-    /// `active` counter stays conserved ([`PublicCloud::audit`] holds).
+    /// lease leaves the cloud exactly as on release, so
+    /// [`PublicCloud::audit`] holds across crashes.
     pub fn crash_lease(&mut self, id: VmId, now: SimTime) -> Result<LeaseClose, VmmError> {
-        let vm = self.vms.get_mut(&id).ok_or(VmmError::UnknownVm(id))?;
-        vm.crash(now)?;
-        self.active -= 1;
-        let rate = self
-            .lease_rates
-            .remove(&id)
-            .expect("leased VM must have a locked rate");
-        // Crashed before provisioning completed → never billable.
-        let running_for = match self.lease_started.remove(&id) {
-            Some(started) => now.since(started),
-            None => SimDuration::ZERO,
+        self.close_lease(id, now, |vm| vm.crash(now))
+    }
+
+    /// Applies a terminating transition to a live lease's VM and, if it
+    /// succeeds, removes the lease and closes it at `now`. A refused
+    /// transition leaves the lease where it was.
+    fn close_lease(
+        &mut self,
+        id: VmId,
+        now: SimTime,
+        transition: impl FnOnce(&mut Vm) -> Result<(), VmmError>,
+    ) -> Result<LeaseClose, VmmError> {
+        let Entry::Occupied(mut entry) = self.leases.entry(id) else {
+            return Err(VmmError::UnknownVm(id));
         };
-        Ok(LeaseClose {
-            vm: id,
-            running_for,
-            rate,
-            cost: rate.cost_for(running_for),
-        })
+        transition(&mut entry.get_mut().vm)?;
+        Ok(entry.remove().close(now))
     }
 }
 
@@ -604,10 +603,73 @@ mod tests {
         assert_eq!(close.running_for, SimDuration::from_secs(300));
         assert_eq!(close.cost, rate.cost_for(SimDuration::from_secs(300)));
         assert_eq!(c.active_count(), 0);
-        c.audit().expect("crash keeps the active counter conserved");
+        c.audit().expect("crash keeps the cloud conserved");
         // Crashing again (or releasing) a dead lease fails.
-        assert!(c.crash_lease(id, SimTime::from_secs(351)).is_err());
-        assert!(c.begin_release(id, SimTime::from_secs(351)).is_err());
+        assert_eq!(
+            c.crash_lease(id, SimTime::from_secs(351)),
+            Err(VmmError::UnknownVm(id))
+        );
+        assert_eq!(
+            c.begin_release(id, SimTime::from_secs(351)),
+            Err(VmmError::UnknownVm(id))
+        );
+    }
+
+    #[test]
+    fn closed_leases_leave_the_cloud() {
+        let mut c = cloud(None);
+        let lease = |c: &mut PublicCloud| {
+            let (id, _, _) = c
+                .begin_lease(ImageId(0), VmSpec::EC2_MEDIUM_LIKE, SimTime::ZERO)
+                .unwrap();
+            c.complete_lease(id, SimTime::from_secs(50)).unwrap();
+            id
+        };
+        let released = lease(&mut c);
+        let crashed = lease(&mut c);
+        let kept = lease(&mut c);
+        assert_eq!(c.active_count(), 3);
+        assert_eq!(c.active_count(), c.vms().count() as u64);
+
+        let stop = c.begin_release(released, SimTime::from_secs(100)).unwrap();
+        c.complete_release(released, SimTime::from_secs(100) + stop)
+            .unwrap();
+        c.crash_lease(crashed, SimTime::from_secs(120)).unwrap();
+
+        // Both closed leases are gone, locked rate and start instant
+        // with them; the open one is untouched.
+        assert!(c.vm(released).is_none() && c.vm(crashed).is_none());
+        assert_eq!(c.leases.keys().copied().collect::<Vec<_>>(), vec![kept]);
+        assert_eq!(c.active_count(), 1);
+        assert_eq!(c.active_count(), c.vms().count() as u64);
+        assert_eq!(
+            c.complete_release(released, SimTime::from_secs(200)),
+            Err(VmmError::UnknownVm(released))
+        );
+        assert_eq!(
+            c.crash_lease(crashed, SimTime::from_secs(200)),
+            Err(VmmError::UnknownVm(crashed))
+        );
+        c.audit().unwrap();
+    }
+
+    #[test]
+    fn refused_close_keeps_the_lease() {
+        let mut c = cloud(None);
+        let (id, _, rate) = c
+            .begin_lease(ImageId(0), VmSpec::EC2_MEDIUM_LIKE, SimTime::ZERO)
+            .unwrap();
+        c.complete_lease(id, SimTime::from_secs(50)).unwrap();
+        // A running lease must begin releasing before its release
+        // completes.
+        assert!(matches!(
+            c.complete_release(id, SimTime::from_secs(60)),
+            Err(VmmError::InvalidTransition { .. })
+        ));
+        assert!(c.vm(id).unwrap().is_running());
+        // The lease still bills from its original start.
+        let close = c.crash_lease(id, SimTime::from_secs(150)).unwrap();
+        assert_eq!(close.cost, rate.cost_for(SimDuration::from_secs(100)));
     }
 
     #[test]

@@ -27,6 +27,16 @@
 //! `meryn-core`) schedules an event and calls `complete_*` when it fires.
 //! This keeps the substrate synchronous, independently testable, and free
 //! of any event-queue dependency.
+//!
+//! ## Live state only
+//!
+//! The pool and the clouds hold live VMs only. A VM reaching
+//! `Terminated` — its stop or release completing, or a crash — leaves
+//! its pool or cloud in the same call, so `vms()` lists what holds
+//! resources, its length is the active count, and the substrate's
+//! memory and checkpoint size track the live estate rather than the
+//! run's history. What a closed cloud lease cost is returned to the
+//! caller ([`cloud::LeaseClose`]), which bills it.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -4,8 +4,11 @@
 //! multiple elastic Virtual Clusters" (§3.1). The pool owns the physical
 //! nodes, places VMs first-fit, enforces the fixed hosting capacity (the
 //! evaluation pins it to 50) and drives each VM's lifecycle through the
-//! begin/complete protocol.
+//! begin/complete protocol. It holds live VMs only: a VM leaves the pool
+//! when its stop completes or it crashes, so the pool's size tracks the
+//! estate, never the history of transfers.
 
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 
 use meryn_sim::{SimDuration, SimRng, SimTime};
@@ -23,21 +26,18 @@ use crate::vm::Vm;
 pub struct PrivatePool {
     tag: HostTag,
     nodes: Vec<Node>,
+    /// Live VMs (starting, running or stopping): every entry holds
+    /// resources, so the map's length is the active count.
     vms: BTreeMap<VmId, Vm>,
     serial: u64,
     spec: VmSpec,
-    max_vms: u64,
+    /// Hosting capacity in VMs, fixed at construction: the smaller of
+    /// the configured cap and what the nodes physically fit (node shapes
+    /// never change).
+    capacity: u64,
     boot: LatencyModel,
     stop: LatencyModel,
     speed: f64,
-    /// VMs currently holding resources. The `vms` map is append-only
-    /// (terminated VMs stay queryable), so this is maintained as a
-    /// counter rather than recounted — `active_count` sits on the
-    /// admission/transfer hot path and a scan would grow with the
-    /// *history* of transfers, not the live estate. Serialized like any
-    /// other field (no default): a snapshot missing it predates the
-    /// counter and must fail loudly rather than deserialize desynced.
-    active: u64,
     /// Serialized with the pool so a restored checkpoint resumes its
     /// jitter stream exactly where the snapshot left it.
     rng: SimRng,
@@ -57,17 +57,17 @@ impl PrivatePool {
         rng: SimRng,
     ) -> Self {
         assert!(speed > 0.0, "pool speed factor must be positive");
+        let physical: u64 = nodes.iter().map(|n| n.capacity_for(spec)).sum();
         PrivatePool {
             tag: HostTag::PRIVATE,
             nodes,
             vms: BTreeMap::new(),
             serial: 0,
             spec,
-            max_vms,
+            capacity: physical.min(max_vms),
             boot,
             stop,
             speed,
-            active: 0,
             rng,
         }
     }
@@ -104,21 +104,13 @@ impl PrivatePool {
     /// Fixed hosting capacity in VMs (the smaller of the configured cap
     /// and what the nodes physically fit).
     pub fn capacity(&self) -> u64 {
-        let physical: u64 = self.nodes.iter().map(|n| n.capacity_for(self.spec)).sum();
-        physical.min(self.max_vms)
+        self.capacity
     }
 
-    /// VMs currently holding resources (starting, running or stopping).
+    /// VMs currently holding resources (starting, running or stopping):
+    /// the live VMs.
     pub fn active_count(&self) -> u64 {
-        debug_assert_eq!(
-            self.active,
-            self.vms
-                .values()
-                .filter(|v| v.state().holds_resources())
-                .count() as u64,
-            "active counter out of sync"
-        );
-        self.active
+        self.vms.len() as u64
     }
 
     /// VMs currently usable by frameworks.
@@ -131,12 +123,13 @@ impl PrivatePool {
         self.capacity() - self.active_count()
     }
 
-    /// Looks a VM up.
+    /// Looks a live VM up: `None` once its stop has completed or it
+    /// crashed, and for ids never issued.
     pub fn vm(&self, id: VmId) -> Option<&Vm> {
         self.vms.get(&id)
     }
 
-    /// Iterates over all VMs (terminated included) in id order.
+    /// Iterates over the live VMs in id order.
     pub fn vms(&self) -> impl Iterator<Item = &Vm> {
         self.vms.values()
     }
@@ -149,7 +142,7 @@ impl PrivatePool {
         image: ImageId,
         now: SimTime,
     ) -> Result<(VmId, SimDuration), VmmError> {
-        let capacity = self.capacity();
+        let capacity = self.capacity;
         if self.active_count() >= capacity {
             return Err(VmmError::CapacityExhausted { capacity });
         }
@@ -173,7 +166,6 @@ impl PrivatePool {
             now,
         );
         self.vms.insert(id, vm);
-        self.active += 1;
         Ok((id, self.boot.sample(&mut self.rng)))
     }
 
@@ -194,68 +186,64 @@ impl PrivatePool {
         Ok(self.stop.sample(&mut self.rng))
     }
 
-    /// Recounts the `active` counter against actual VM states and the
-    /// hosting capacity. [`PrivatePool::active_count`] runs the same
-    /// recount as a `debug_assert` on the hot path; this promotes it to
-    /// a `Result` so checkpoint/restore tests can audit a restored pool
-    /// in release builds too.
+    /// Checks the pool's conservation invariants: every listed VM holds
+    /// resources and the live VMs fit the hosting capacity. Meant for
+    /// quiescent points — after a restore, between runs — so a
+    /// checkpoint/restore test can audit a restored pool in release
+    /// builds too.
     pub fn audit(&self) -> Result<(), String> {
-        let counted = self
-            .vms
-            .values()
-            .filter(|v| v.state().holds_resources())
-            .count() as u64;
-        if counted != self.active {
+        if let Some(vm) = self.vms.values().find(|v| !v.state().holds_resources()) {
             return Err(format!(
-                "private pool active counter desynced: counter {} vs {counted} VMs holding resources",
-                self.active
+                "private pool lists {:?}, which holds no resources",
+                vm.id
             ));
         }
-        let capacity = self.capacity();
-        if self.active > capacity {
+        let active = self.active_count();
+        if active > self.capacity {
             return Err(format!(
-                "private pool over capacity: {} active VMs on {capacity} slots",
-                self.active
+                "private pool over capacity: {active} active VMs on {} slots",
+                self.capacity
             ));
         }
         Ok(())
     }
 
-    /// Completes a shutdown, releasing the VM's node resources.
+    /// Completes a shutdown: the VM leaves the pool and its node
+    /// resources are released.
     pub fn complete_stop(&mut self, id: VmId, now: SimTime) -> Result<(), VmmError> {
-        let spec = self.spec;
-        let vm = self.vms.get_mut(&id).ok_or(VmmError::UnknownVm(id))?;
-        vm.complete_stop(now)?;
-        let node_id = vm.node.expect("private VM must sit on a node");
-        let node = self
-            .nodes
-            .iter_mut()
-            .find(|n| n.id == node_id)
-            .expect("VM's node must exist");
-        node.release(spec);
-        self.active -= 1;
-        Ok(())
+        self.terminate(id, |vm| vm.complete_stop(now))
     }
 
     /// Crashes a starting/running VM at `now`: the fault-plane path.
-    /// Resources release immediately (no `Stopping` interval, no stop
-    /// latency draw — the RNG stream is untouched, so fault-free
-    /// trajectories are byte-identical whether or not this method
-    /// exists). The `active` counter and node allocation stay conserved
-    /// exactly as in [`PrivatePool::complete_stop`], so
-    /// [`PrivatePool::audit`] holds across crashes.
+    /// The VM leaves the pool and its resources release immediately (no
+    /// `Stopping` interval, no stop latency draw — the RNG stream is
+    /// untouched, so fault-free trajectories are byte-identical whether
+    /// or not this method exists), exactly as in
+    /// [`PrivatePool::complete_stop`], so [`PrivatePool::audit`] holds
+    /// across crashes.
     pub fn crash_vm(&mut self, id: VmId, now: SimTime) -> Result<(), VmmError> {
+        self.terminate(id, |vm| vm.crash(now))
+    }
+
+    /// Applies a terminating transition to a live VM and, if it
+    /// succeeds, removes the VM and frees its node slot. A refused
+    /// transition leaves the VM where it was.
+    fn terminate(
+        &mut self,
+        id: VmId,
+        transition: impl FnOnce(&mut Vm) -> Result<(), VmmError>,
+    ) -> Result<(), VmmError> {
+        let Entry::Occupied(mut entry) = self.vms.entry(id) else {
+            return Err(VmmError::UnknownVm(id));
+        };
+        transition(entry.get_mut())?;
+        let node_id = entry.remove().node.expect("private VM must sit on a node");
         let spec = self.spec;
-        let vm = self.vms.get_mut(&id).ok_or(VmmError::UnknownVm(id))?;
-        vm.crash(now)?;
-        let node_id = vm.node.expect("private VM must sit on a node");
-        let node = self
-            .nodes
+        self.nodes
             .iter_mut()
             .find(|n| n.id == node_id)
-            .expect("VM's node must exist");
-        node.release(spec);
-        self.active -= 1;
+            .expect("VM's node must exist")
+            .release(spec);
         Ok(())
     }
 }
@@ -309,7 +297,17 @@ mod tests {
         p.complete_stop(id, SimTime::from_secs(100) + stop).unwrap();
         assert_eq!(p.active_count(), 0);
         assert_eq!(p.available(), 2);
-        assert!(!p.vm(id).unwrap().state().holds_resources());
+        // A stopped VM leaves the pool.
+        assert!(p.vm(id).is_none());
+        assert_eq!(p.vms().count(), 0);
+        assert_eq!(
+            p.complete_stop(id, SimTime::from_secs(200)),
+            Err(VmmError::UnknownVm(id))
+        );
+        assert_eq!(
+            p.crash_vm(id, SimTime::from_secs(200)),
+            Err(VmmError::UnknownVm(id))
+        );
     }
 
     #[test]
@@ -351,6 +349,21 @@ mod tests {
     }
 
     #[test]
+    fn refused_termination_keeps_the_vm() {
+        let mut p = pool(2);
+        let (id, boot) = p.begin_start(ImageId(0), SimTime::ZERO).unwrap();
+        p.complete_start(id, SimTime::ZERO + boot).unwrap();
+        // A running VM must begin stopping before its stop completes.
+        assert!(matches!(
+            p.complete_stop(id, SimTime::from_secs(60)),
+            Err(VmmError::InvalidTransition { .. })
+        ));
+        assert!(p.vm(id).unwrap().is_running());
+        assert_eq!(p.available(), 1);
+        p.audit().unwrap();
+    }
+
+    #[test]
     fn stop_only_after_running() {
         let mut p = pool(1);
         let (id, _) = p.begin_start(ImageId(0), SimTime::ZERO).unwrap();
@@ -366,11 +379,18 @@ mod tests {
         p.crash_vm(id, SimTime::from_secs(60)).unwrap();
         assert_eq!(p.active_count(), 0);
         assert_eq!(p.available(), 2, "crash releases the slot immediately");
-        assert!(!p.vm(id).unwrap().state().holds_resources());
-        p.audit().expect("crash keeps the active counter conserved");
+        // A crashed VM leaves the pool.
+        assert!(p.vm(id).is_none());
+        p.audit().expect("crash keeps the pool conserved");
         // A crashed VM cannot be crashed or stopped again.
-        assert!(p.crash_vm(id, SimTime::from_secs(61)).is_err());
-        assert!(p.begin_stop(id, SimTime::from_secs(61)).is_err());
+        assert_eq!(
+            p.crash_vm(id, SimTime::from_secs(61)),
+            Err(VmmError::UnknownVm(id))
+        );
+        assert_eq!(
+            p.begin_stop(id, SimTime::from_secs(61)),
+            Err(VmmError::UnknownVm(id))
+        );
         // The freed slot is reusable.
         p.begin_start(ImageId(0), SimTime::from_secs(62)).unwrap();
         p.audit().unwrap();

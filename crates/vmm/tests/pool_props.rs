@@ -1,5 +1,6 @@
-//! Property tests for the private pool: capacity is never exceeded and
-//! slots are conserved under arbitrary start/stop interleavings.
+//! Property tests for the private pool: capacity is never exceeded,
+//! slots are conserved and only live VMs stay listed under arbitrary
+//! start/stop interleavings.
 
 use meryn_sim::{SimRng, SimTime};
 use meryn_vmm::{ImageId, LatencyModel, PrivatePool, VmId, VmSpec, VmmError};
@@ -67,6 +68,7 @@ proptest! {
                 Op::CompleteStop(i) if !stopping.is_empty() => {
                     let vm = stopping.remove(i % stopping.len());
                     pool.complete_stop(vm, now).expect("stopping VM completes");
+                    prop_assert!(pool.vm(vm).is_none(), "a stopped VM leaves the pool");
                 }
                 _ => {}
             }
@@ -78,6 +80,10 @@ proptest! {
                 starting.len() + running.len() + stopping.len()
             );
             prop_assert_eq!(pool.running_count() as usize, running.len());
+            // Only live VMs are listed: every one holds resources, and a
+            // stopped VM is gone.
+            prop_assert!(pool.vms().all(|v| v.state().holds_resources()));
+            prop_assert_eq!(pool.vms().count() as u64, pool.active_count());
         }
     }
 

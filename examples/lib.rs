@@ -100,7 +100,7 @@ pub fn run_paper_workload() -> (RunReport, RunReport) {
     print_summary(&stat);
     print_groups(&stat, &[("VC1", 0), ("VC2", 1)]);
 
-    let cmp = compare(&meryn, &stat);
+    let cmp = compare(&meryn.headline(), &stat.headline());
     println!("\n──────────── Meryn vs Static ───────────");
     println!(
         "peak cloud VMs: {:.0} vs {:.0} (paper: 15 vs 25)",
@@ -246,7 +246,7 @@ pub fn run_datacenter_burst(seed: u64) -> (RunReport, RunReport) {
     println!("\n──────────────── Static ───────────────");
     print_summary(&stat);
 
-    let cmp = compare(&meryn, &stat);
+    let cmp = compare(&meryn.headline(), &stat.headline());
     println!("\nUnder bursty load, Meryn absorbed spikes with VM exchange:");
     println!(
         "  peak cloud VMs {:.0} vs {:.0}, cost saved {}",

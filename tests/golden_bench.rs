@@ -60,7 +60,7 @@ fn fig6_cost_saved_matches_recorded_baseline() {
         .and_then(Value::as_f64)
         .expect("cost_saved_units recorded");
     let runs = paper_runs();
-    let cmp = compare(&runs[0], &runs[1]);
+    let cmp = compare(&runs[0].headline(), &runs[1].headline());
     let saved = cmp.cost_saved.as_units_f64();
     assert!(
         (saved - recorded).abs() < 0.5,

@@ -88,7 +88,7 @@ fn private_pool_is_fully_used_under_meryn() {
 fn costs_beat_static_by_the_papers_margin() {
     let meryn = run("meryn");
     let stat = run("static");
-    let cmp = compare(&meryn, &stat);
+    let cmp = compare(&meryn.headline(), &stat.headline());
     // Paper: VC1 avg cost 16.72% better, overall 14.07% better. Our
     // model reproduces the mechanism (10 apps moved from 4 u/s cloud to
     // 2 u/s private); accept the 10–20% band.

@@ -1,6 +1,6 @@
 //! Property-based invariants across the workspace.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 
 use meryn_core::config::{PlatformConfig, VcConfig};
 use meryn_core::Platform;
@@ -9,6 +9,7 @@ use meryn_sim::{EventQueue, SimDuration, SimTime};
 use meryn_sla::negotiation::UserStrategy;
 use meryn_sla::pricing::PricingParams;
 use meryn_sla::{AppTimes, Money, VmRate};
+use meryn_vmm::{HostTag, VmId};
 use meryn_workloads::{Submission, VcTarget};
 use proptest::prelude::*;
 
@@ -239,6 +240,9 @@ proptest! {
 }
 
 /// Non-proptest structural check: VM ids never collide across domains.
+/// The pool and the clouds list live VMs only, so the ids are collected
+/// after every same-instant run: an id lives in one domain, never comes
+/// back once gone, and a cloud id never carries the pool tag.
 #[test]
 fn vm_ids_unique_across_pool_and_clouds() {
     let cfg = PlatformConfig::paper("static");
@@ -258,22 +262,40 @@ fn vm_ids_unique_across_pool_and_clouds() {
         .collect();
     let mut platform = Platform::new(cfg);
     platform.enqueue_workload(&workload);
-    while platform.step() {}
-    let mut seen = BTreeSet::new();
-    for vm in platform.pool().vms() {
-        assert!(seen.insert(vm.id), "duplicate id {:?}", vm.id);
-    }
-    // Cloud ids must not collide with pool ids, nor with each other.
+    // Every id ever listed, with its domain: 0 for the pool, 1 + i for
+    // cloud i.
+    let mut domain_of: BTreeMap<VmId, usize> = BTreeMap::new();
+    let mut live: BTreeSet<VmId> = BTreeSet::new();
     let mut cloud_vms = 0;
-    for vm in platform.clouds().iter().flat_map(|c| c.vms()) {
-        assert_ne!(
-            vm.id.host().0,
-            0,
-            "cloud VM {:?} carries the pool tag",
-            vm.id
-        );
-        assert!(seen.insert(vm.id), "cloud id {:?} collides", vm.id);
-        cloud_vms += 1;
+    loop {
+        let pool = platform.pool().vms().map(|vm| (vm.id, 0));
+        let clouds = platform
+            .clouds()
+            .iter()
+            .enumerate()
+            .flat_map(|(i, c)| c.vms().map(move |vm| (vm.id, i + 1)));
+        let mut now_live = BTreeSet::new();
+        for (id, domain) in pool.chain(clouds) {
+            assert!(now_live.insert(id), "{id:?} is listed in two domains");
+            if domain > 0 {
+                assert_ne!(
+                    id.host(),
+                    HostTag::PRIVATE,
+                    "cloud VM {id:?} carries the pool tag"
+                );
+            }
+            match domain_of.insert(id, domain) {
+                None => cloud_vms += usize::from(domain > 0),
+                Some(was) => {
+                    assert_eq!(was, domain, "{id:?} moved between domains");
+                    assert!(live.contains(&id), "{id:?} came back after it was gone");
+                }
+            }
+        }
+        live = now_live;
+        if !platform.step() {
+            break;
+        }
     }
     assert!(cloud_vms > 0, "the run must lease cloud VMs to check them");
 }
