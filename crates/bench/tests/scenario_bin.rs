@@ -107,6 +107,43 @@ fn malformed_specs_exit_2_with_diagnostic() {
     }
 }
 
+/// A numeric field of a JSON object.
+fn u64_field(fields: &[(String, Value)], key: &str) -> u64 {
+    match fields.iter().find(|(k, _)| k == key) {
+        Some((_, Value::U64(n))) => *n,
+        other => panic!("{key} is a count: {other:?}"),
+    }
+}
+
+#[test]
+fn bench_json_reports_raw_queue_pops_beside_credited_events() {
+    let spec = spec_path("bench");
+    let out = spec.with_file_name("bench-report.json");
+    let (code, stderr) = run(scenario_bin()
+        .arg(&spec)
+        .args(["--bench", "--quiet", "--json"])
+        .arg(&out));
+    assert_eq!(code, Some(0), "bench run succeeds: {stderr}");
+    let text = std::fs::read_to_string(&out).expect("bench JSON written");
+    let Ok(Value::Map(report)) = serde_json::from_str::<Value>(&text) else {
+        panic!("a bench report is a JSON object");
+    };
+    let Some((_, Value::Seq(variants))) = report.iter().find(|(k, _)| k == "variants") else {
+        panic!("a bench report lists its variants");
+    };
+    assert!(!variants.is_empty());
+    for variant in variants {
+        let Value::Map(fields) = variant else {
+            panic!("a variant is a JSON object");
+        };
+        let (events, raw) = (u64_field(fields, "events"), u64_field(fields, "raw_events"));
+        assert!(
+            0 < raw && raw <= events,
+            "queue pops {raw} must be positive and at most the {events} credited events"
+        );
+    }
+}
+
 #[test]
 fn unwritable_json_path_exits_2_with_diagnostic() {
     let (code, stderr) = run(scenario_bin().arg(spec_path("unwritable-json")).args([
@@ -312,6 +349,24 @@ fn resume_rejects_a_missing_or_mismatched_format_with_exit_2() {
     assert_eq!(code, Some(2), "format-4 checkpoint → exit 2: {stderr}");
     assert!(
         stderr.contains("checkpoint format 4"),
+        "diagnostic names the format: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "no panic backtrace: {stderr}");
+
+    // Layout 5: every shard kept its own event queue, so the engine
+    // wrote none. Its number is refused before the rest of the file is
+    // read.
+    let mut layout_5 = future.clone();
+    layout_5.retain(|(k, _)| k != "queue");
+    for (k, v) in &mut layout_5 {
+        if k == "format" {
+            *v = Value::U64(5);
+        }
+    }
+    let (code, stderr) = resume(&spec, &write_object(&spec, "layout-5.json", layout_5));
+    assert_eq!(code, Some(2), "format-5 checkpoint → exit 2: {stderr}");
+    assert!(
+        stderr.contains("checkpoint format 5"),
         "diagnostic names the format: {stderr}"
     );
     assert!(!stderr.contains("panicked"), "no panic backtrace: {stderr}");

@@ -233,19 +233,20 @@ pub struct VcQuoter<'a> {
 
 impl VcQuoter<'_> {
     /// Candidate allocations: the user's requested size and power-of-two
-    /// multiples of it, capped at `max_vms`.
-    fn allocation_options(&self) -> Vec<u64> {
+    /// multiples of it, capped at `max_vms` (the requested size is
+    /// always offered).
+    fn allocation_options(&self) -> impl Iterator<Item = u64> {
         let base = self.spec.nb_vms().max(1);
-        let mut ks: Vec<u64> = [1u64, 2, 4]
-            .iter()
-            .map(|m| base * m)
-            .filter(|&k| k <= self.max_vms.max(base))
-            .collect();
-        if ks.is_empty() {
-            ks.push(base);
-        }
-        ks.dedup();
-        ks
+        let cap = self.max_vms.max(base);
+        [1u64, 2, 4]
+            .into_iter()
+            .map(move |m| base * m)
+            .filter(move |&k| k <= cap)
+    }
+
+    /// One quote per candidate allocation the model can price.
+    fn quotes(&self) -> impl Iterator<Item = Quote> + '_ {
+        self.allocation_options().filter_map(|k| self.quote_for(k))
     }
 
     fn quote_for(&self, k: u64) -> Option<Quote> {
@@ -264,16 +265,12 @@ impl VcQuoter<'_> {
 
 impl Quoter for VcQuoter<'_> {
     fn proposals(&self) -> Vec<Quote> {
-        self.allocation_options()
-            .into_iter()
-            .filter_map(|k| self.quote_for(k))
-            .collect()
+        self.quotes().collect()
     }
 
     fn quote_for_deadline(&self, deadline: SimDuration) -> Option<Quote> {
         let best = self
-            .proposals()
-            .into_iter()
+            .quotes()
             .filter(|q| q.deadline <= deadline)
             .min_by_key(|q| q.price)?;
         // The user granted us until `deadline`; sign the slack into the
@@ -282,8 +279,7 @@ impl Quoter for VcQuoter<'_> {
     }
 
     fn quote_for_price(&self, price: Money) -> Option<Quote> {
-        self.proposals()
-            .into_iter()
+        self.quotes()
             .filter(|q| q.price <= price)
             .min_by_key(|q| q.deadline)
     }
@@ -426,9 +422,9 @@ mod tests {
         };
         let mut q = quoter_for(&vc, spec);
         q.max_vms = 25;
-        assert_eq!(q.allocation_options(), vec![10, 20]);
+        assert_eq!(q.allocation_options().collect::<Vec<_>>(), vec![10, 20]);
         q.max_vms = 5; // smaller than the request: still offer the request
-        assert_eq!(q.allocation_options(), vec![10]);
+        assert_eq!(q.allocation_options().collect::<Vec<_>>(), vec![10]);
     }
 
     #[test]

@@ -4,10 +4,13 @@
 //! # Execution model
 //!
 //! Every event carries a globally-unique `(due, seq)` key handed out by
-//! one counter and waits in the queue of the shard that owns it
-//! ([`Event::owner`]), so the *schedule* — all shard queues merged by
-//! key — is a single total order, the one the pre-shard monolith
-//! walked. Every event class is shard-owned: admission itself (the
+//! one counter and waits in the engine's one event queue, so the
+//! *schedule* is a single total order — the one the pre-shard monolith
+//! walked — and the next instant is one peek at its head, whatever the
+//! VC count. Every event belongs to a shard ([`Event::owner`]), which
+//! the engine resolves when the event's run is drained: the event names
+//! its VC, or its application was routed to one when it arrived. Every
+//! event class is shard-owned: admission itself (the
 //! engine pre-routes each submission to its VC from the deployment
 //! config and the shard type-checks, negotiates and registers the
 //! application — [`VcShard`]'s arrival handler), framework hand-off,
@@ -27,10 +30,10 @@
 //!
 //! A workload enters a run one way: as an arrival stream in arrival
 //! order. Attaching it reserves one sequence tag per submission, and
-//! each arrival is dispatched into its shard's queue only when the run
-//! reaches its instant — so the queues hold the near future, workload
-//! memory stays O(1), and a checkpoint records the stream's cursor
-//! instead of the pending arrivals.
+//! each arrival is dispatched into the queue only when the run reaches
+//! its instant — so the queue holds the near future, workload memory
+//! stays O(1), and a checkpoint records the stream's cursor instead of
+//! the pending arrivals.
 //!
 //! A completed application leaves the run one way too: its shard emits
 //! [`Effect::Retire`], and at that canonical position the executor
@@ -42,9 +45,10 @@
 //!
 //! State changes only at event instants, and one run function advances
 //! the engine by one of them: it drains the maximal run of events
-//! queued at the next instant, groups it by shard, processes the
-//! groups — **in parallel through the rayon shim when the run spans
-//! shards and is big enough to pay for the fan-out** — and then applies
+//! queued at the next instant once ([`EventQueue::pop_at`]), hands each
+//! event to its shard's inbox, processes the touched shards' slices —
+//! **in parallel through the rayon shim when the run spans shards and
+//! is big enough to pay for the fan-out** — and then applies
 //! the collected [`Effect`]s sequentially in canonical key order: a
 //! stable sort on the keys, whose globally-unique `seq` makes the
 //! application order the exact global schedule order. Events the
@@ -65,7 +69,7 @@ use std::sync::Arc;
 
 use meryn_frameworks::{BatchFramework, Framework, FrameworkKind, JobId, MapReduceFramework};
 use meryn_sim::metrics::SeriesSet;
-use meryn_sim::{earliest_key, SimDuration, SimRng, SimTime};
+use meryn_sim::{EventQueue, QueueSnapshot, SimDuration, SimRng, SimTime};
 use meryn_sla::pricing::PricingParams;
 use meryn_sla::Money;
 use meryn_vmm::{
@@ -91,10 +95,6 @@ use crate::policy::{self, BiddingPolicy, PlacementPolicy};
 use crate::protocol::{select_resources, Decision, ProtocolParams};
 use crate::report::{AggregateReport, AppRecord, ReportMode, RunReport};
 
-/// One shard's drained slice of a same-instant run: `(seq, event)`
-/// pairs in global seq order.
-type RunSlice = Vec<(u64, Event)>;
-
 /// Minimum number of same-instant shard events (across ≥ 2 shards)
 /// before a run is fanned out to worker threads. Below this the scoped
 /// thread spawn costs more than the work; the sequential path walks the
@@ -117,10 +117,11 @@ const SHARD_STREAM_BASE: u64 = 1 << 32;
 const FAULT_STREAM_BASE: u64 = 2 << 32;
 
 /// The assembled Meryn platform: one [`VcShard`] per deployed Virtual
-/// Cluster, the [`SharedFabric`] singletons and the loop that merges
-/// their queues into one deterministic schedule. (The paper's prototype
-/// glues its components together with shell scripts over two Snooze
-/// installations; here the glue is this discrete-event engine.)
+/// Cluster, the [`SharedFabric`] singletons, the one event queue that
+/// holds their deterministic schedule and the loop that drains it.
+/// (The paper's prototype glues its components together with shell
+/// scripts over two Snooze installations; here the glue is this
+/// discrete-event engine.)
 ///
 /// Deploy with [`Self::new`], hand over the workload
 /// ([`Self::enqueue_workload`] or [`Self::stream_workload`]), advance
@@ -138,7 +139,11 @@ pub struct Platform {
     vc_kinds: Vec<FrameworkKind>,
     /// The shared singletons.
     pub(crate) fabric: SharedFabric,
-    /// The global sequence counter all queues share.
+    /// The one event queue: every pending event of every shard, in
+    /// `(due, seq)` order. An event's shard is resolved when its run is
+    /// drained ([`owner`]).
+    queue: EventQueue<Event>,
+    /// The global sequence counter.
     next_seq: u64,
     now: SimTime,
     /// `AppId → VcId`, appended at admission (AppIds are dense).
@@ -146,8 +151,8 @@ pub struct Platform {
     next_app: u64,
     /// Recycled scratch for fabric-apply follow-up events.
     scratch_out: Vec<(SimTime, Event)>,
-    /// Recycled per-shard event-run buffers (the batch loop's inputs).
-    event_bufs: Vec<RunSlice>,
+    /// Ids of the shards the current run touches (recycled buffer).
+    touched: Vec<usize>,
     /// Recycled effect buffers (the batch loop's outputs).
     effect_bufs: Vec<Vec<SequencedEffect>>,
     /// Recycled merge buffer for one batch's canonical effect stream.
@@ -240,14 +245,16 @@ impl std::error::Error for StreamError {}
 /// checkpoint's required `format` field. Bump it whenever the captured
 /// state changes shape; a resume reads the number first
 /// ([`CheckpointHeader`]), so no older layout has to parse as this one.
-/// Layout 5's pool and clouds hold live VMs only (one map of live
-/// leases per cloud) and it holds retired applications as records.
+/// Layout 6 holds the engine's one event queue, and each shard its pop
+/// count. Layout 5 kept one event queue per shard; its pool and clouds
+/// hold live VMs only (one map of live leases per cloud) and it holds
+/// retired applications as records, as layout 6 does.
 /// Layout 4 kept every terminated VM in the pool and clouds, with
 /// active counters and three lease maps per cloud; layout 3 kept a
 /// full-mode run's completed applications in its shards, layout 2 a
 /// bulk-enqueued run's pending arrivals in its shard queues and layout
 /// 1 a control queue.
-pub const CHECKPOINT_FORMAT: u32 = 5;
+pub const CHECKPOINT_FORMAT: u32 = 6;
 
 /// The one field every checkpoint layout carries. A resume parses it
 /// before the rest of the file and refuses another layout by its
@@ -276,8 +283,8 @@ impl CheckpointHeader {
     }
 }
 
-/// A full engine snapshot: every shard (live applications, framework
-/// masters and event queues included), the shared fabric (live pool VMs
+/// A full engine snapshot: every shard (live applications and framework
+/// masters included), the event queue, the shared fabric (live pool VMs
 /// and cloud leases, ledger totals, metrics, RNG stream positions), the
 /// retired applications' records or aggregates, the global sequence
 /// counter and the arrival stream's cursor. Serializable with serde;
@@ -291,6 +298,7 @@ pub struct EngineCheckpoint {
     /// per-shard policy slices are rebuilt from it at restore.
     pub cfg: PlatformConfig,
     shards: Vec<ShardSnapshot>,
+    queue: QueueSnapshot<Event>,
     fabric: SharedFabric,
     next_seq: u64,
     now: SimTime,
@@ -355,6 +363,16 @@ fn shard_policy(cfg: &PlatformConfig) -> ShardPolicy {
         base_latency: cfg.latencies.base,
         suspend_local: cfg.latencies.suspend_local,
         suspend_remote: cfg.latencies.suspend_remote,
+    }
+}
+
+/// The shard that owns `event`: named by the event itself, or the
+/// shard its application was routed to (`app_vc`, filled as arrivals
+/// are dispatched and never rewritten).
+fn owner(event: &Event, app_vc: &[VcId]) -> VcId {
+    match event.owner() {
+        EventOwner::Shard(vc) => vc,
+        EventOwner::AppShard(app) => app_vc[app.0 as usize],
     }
 }
 
@@ -495,12 +513,13 @@ impl Platform {
             shards,
             vc_kinds,
             fabric,
+            queue: EventQueue::new(),
             next_seq: 0,
             now: SimTime::ZERO,
             app_vc: Vec::new(),
             next_app: 0,
             scratch_out: Vec::new(),
-            event_bufs: Vec::new(),
+            touched: Vec::new(),
             effect_bufs: Vec::new(),
             effect_gather: Vec::new(),
             parallel_runs: 0,
@@ -539,12 +558,19 @@ impl Platform {
         self
     }
 
-    /// Logical events processed so far, summed over every shard queue
+    /// Logical events processed so far, summed over every shard
     /// (coalesced choreography events count one tick per VM in their
     /// batch, keeping the unit comparable with the pre-coalescing
     /// engine).
     pub fn events_processed(&self) -> u64 {
         self.shards.iter().map(VcShard::events_processed).sum()
+    }
+
+    /// Events popped from the engine's queue so far — the raw count
+    /// beside the logical [`Self::events_processed`], which credits a
+    /// coalesced batch one tick per VM.
+    pub fn raw_events(&self) -> u64 {
+        self.queue.events_processed()
     }
 
     /// Per-shard processed-event counters as `(vc name, events)` pairs,
@@ -599,16 +625,11 @@ impl Platform {
 
     // ---- scheduling --------------------------------------------------------
 
-    /// Assigns the next global sequence tag and routes `event` to its
-    /// owning queue.
+    /// Assigns the next global sequence tag and queues `event`.
     fn push_event(&mut self, due: SimTime, event: Event) {
         let seq = self.next_seq;
         self.next_seq += 1;
-        let vc = match event.owner() {
-            EventOwner::Shard(vc) => vc,
-            EventOwner::AppShard(app) => self.app_vc[app.0 as usize],
-        };
-        self.shards[vc.0].queue.push_tagged(due, seq, event);
+        self.queue.push_tagged(due, seq, event);
     }
 
     /// Hands a workload to the run: its submissions, stable-sorted by
@@ -668,15 +689,14 @@ impl Platform {
         Ok(())
     }
 
-    /// The instant of the globally next event, `None` once every queue
+    /// The instant of the globally next event, `None` once the queue
     /// and the arrival stream are drained. Before returning, every
-    /// arrival due at (or before) that instant is dispatched into its
-    /// owning shard's queue — see [`Self::pump_stream`] — so a run
-    /// drains the whole instant, arrivals and queued events alike.
+    /// arrival due at (or before) that instant is dispatched into the
+    /// queue — see [`Self::pump_stream`] — so a run drains the whole
+    /// instant, arrivals and queued events alike.
     fn next_instant(&mut self) -> Option<SimTime> {
         loop {
-            let queued = earliest_key(self.shards.iter_mut().map(|s| s.queue.peek_key()))
-                .map(|(_, (due, _))| due);
+            let queued = self.queue.peek_key().map(|(due, _)| due);
             let stream_due = self
                 .arrivals
                 .as_mut()
@@ -689,8 +709,8 @@ impl Platform {
         }
     }
 
-    /// Dispatches every arrival due at `t` into its owning shard's
-    /// queue with its reserved tag. Routing is a function of the
+    /// Dispatches every arrival due at `t` into the queue with its
+    /// reserved tag. Routing is a function of the
     /// deployment config alone: a routed arrival gets the next dense
     /// `AppId`; a routing failure (unknown VC index, no VC of the kind)
     /// tallies a rejection, consumes no `AppId` and leaves its tag
@@ -713,9 +733,7 @@ impl Platform {
                     let app = AppId(self.next_app);
                     self.next_app += 1;
                     self.app_vc.push(vc);
-                    self.shards[vc.0]
-                        .queue
-                        .push_tagged(t, seq, Event::Arrival { app, sub });
+                    self.queue.push_tagged(t, seq, Event::Arrival { app, sub });
                 }
                 Err(_) => self.fabric.rejected += 1,
             }
@@ -723,8 +741,9 @@ impl Platform {
     }
 
     /// Processes the next same-instant run (see the module docs) and
-    /// returns `false` once every queue is drained. A debugging and
-    /// test hook: the audit invariants hold after every step.
+    /// returns `false` once the queue and the stream are drained. A
+    /// debugging and test hook: the audit invariants hold after every
+    /// step.
     pub fn step(&mut self) -> bool {
         let Some(t) = self.next_instant() else {
             return false;
@@ -733,7 +752,7 @@ impl Platform {
         true
     }
 
-    /// Drains all queues: the batched, shard-parallel production loop.
+    /// Drains the run: the batched, shard-parallel production loop.
     pub fn run_to_completion(&mut self) {
         self.run_until(SimTime::MAX);
     }
@@ -770,14 +789,15 @@ impl Platform {
     }
 
     /// The one run function: drains every event queued at `t` (the
-    /// next instant, as returned by [`Self::next_instant`]), processes
-    /// each shard's slice and applies the effects in canonical order.
-    /// Events the effects schedule at `t` get later tags and join the
-    /// next run — exactly the monolith's order.
+    /// next instant, as returned by [`Self::next_instant`]) into its
+    /// shard's inbox, processes each shard's slice and applies the
+    /// effects in canonical order. Events the effects schedule at `t`
+    /// get later tags and join the next run — exactly the monolith's
+    /// order.
     fn run_instant(&mut self, t: SimTime) {
         self.now = t;
         // `next_instant` already pumped every streamed arrival at `t`
-        // into its shard queue, so the stream never bounds a run.
+        // into the queue, so the stream never bounds a run.
         debug_assert!(
             self.arrivals
                 .as_mut()
@@ -785,23 +805,16 @@ impl Platform {
                 .is_none_or(|(due, _)| due > t),
             "same-instant streamed arrivals were pumped before the run"
         );
+        self.touched.clear();
         let mut total = 0usize;
-        let mut work: Vec<(&mut VcShard, RunSlice, Vec<SequencedEffect>)> = Vec::new();
-        for shard in &mut self.shards {
-            let mut events = self.event_bufs.pop().unwrap_or_default();
-            while shard.queue.peek_key().is_some_and(|(due, _)| due == t) {
-                let Some((_, seq, ev)) = shard.queue.pop_keyed() else {
-                    unreachable!("peeked above")
-                };
-                events.push((seq, ev));
+        while let Some((seq, ev)) = self.queue.pop_at(t) {
+            let vc = owner(&ev, &self.app_vc);
+            let inbox = &mut self.shards[vc.0].inbox;
+            if inbox.is_empty() {
+                self.touched.push(vc.0);
             }
-            if events.is_empty() {
-                self.event_bufs.push(events);
-            } else {
-                total += events.len();
-                let effects = self.effect_bufs.pop().unwrap_or_default();
-                work.push((shard, events, effects));
-            }
+            inbox.push((seq, ev));
+            total += 1;
         }
         debug_assert!(total > 0, "the next instant drained nothing");
         // Single-shard fast path (the common case: scattered job
@@ -809,27 +822,37 @@ impl Platform {
         // is already in canonical key order — `due` is fixed at `t`,
         // seqs arrive nondecreasing and the vc is constant — so skip
         // the merge machinery and apply it directly.
-        if work.len() == 1 {
-            let Some((shard, events, effects)) = work.pop() else {
-                unreachable!("length checked")
-            };
-            let (events, effects) = shard.process(t, events, effects);
+        if let [vc] = self.touched[..] {
+            let effects = self.effect_bufs.pop().unwrap_or_default();
+            let effects = self.shards[vc].process(t, effects);
             debug_assert!(effects.is_sorted_by_key(|e| e.key));
-            self.event_bufs.push(events);
             self.apply_effects(effects);
             return;
         }
-        // Process the groups — concurrently when the run is wide enough
+        // Hand each touched shard out once: walk the sorted ids with
+        // one pass of the shard iterator, whose `nth` skips in O(1).
+        self.touched.sort_unstable();
+        let mut work: Vec<(&mut VcShard, Vec<SequencedEffect>)> =
+            Vec::with_capacity(self.touched.len());
+        let (mut shards, mut next) = (self.shards.iter_mut(), 0);
+        for &vc in &self.touched {
+            let Some(shard) = shards.nth(vc - next) else {
+                unreachable!("touched shard ids are sorted, unique and in range")
+            };
+            next = vc + 1;
+            work.push((shard, self.effect_bufs.pop().unwrap_or_default()));
+        }
+        // Process the slices — concurrently when the run is wide enough
         // to pay for the fan-out. Either path computes the identical
         // per-shard effect buffers.
-        let results: Vec<(RunSlice, Vec<SequencedEffect>)> = if total >= PARALLEL_RUN_MIN_EVENTS {
+        let results: Vec<Vec<SequencedEffect>> = if total >= PARALLEL_RUN_MIN_EVENTS {
             self.parallel_runs += 1;
             work.into_par_iter()
-                .map(|(shard, events, effects)| shard.process(t, events, effects))
+                .map(|(shard, effects)| shard.process(t, effects))
                 .collect()
         } else {
             work.into_iter()
-                .map(|(shard, events, effects)| shard.process(t, events, effects))
+                .map(|(shard, effects)| shard.process(t, effects))
                 .collect()
         };
         // Canonical application: merge the per-shard buffers by key.
@@ -838,9 +861,7 @@ impl Platform {
         // event's own effects — keep emission order).
         let mut gathered = std::mem::take(&mut self.effect_gather);
         debug_assert!(gathered.is_empty());
-        for (mut events, mut effects) in results {
-            events.clear();
-            self.event_bufs.push(events);
+        for mut effects in results {
             gathered.append(&mut effects);
             self.effect_bufs.push(effects);
         }
@@ -867,8 +888,8 @@ impl Platform {
         let SequencedEffect { key, effect } = item;
         match effect {
             // The most common effect by far (every check re-arm, every
-            // dispatch's completion): route it straight to its queue
-            // instead of bouncing through the fabric's follow-up buffer.
+            // dispatch's completion): queue it straight away instead of
+            // bouncing through the fabric's follow-up buffer.
             Effect::Schedule { due, event } => self.push_event(due, event),
             Effect::Escalate {
                 app,
@@ -1416,6 +1437,7 @@ impl Platform {
             format: CHECKPOINT_FORMAT,
             cfg: self.cfg.clone(),
             shards: self.shards.iter().map(VcShard::snapshot).collect(),
+            queue: self.queue.snapshot(),
             fabric: self.fabric.clone(),
             next_seq: self.next_seq,
             now: self.now,
@@ -1447,6 +1469,7 @@ impl Platform {
             format,
             cfg,
             shards,
+            queue,
             fabric,
             next_seq,
             now,
@@ -1488,12 +1511,13 @@ impl Platform {
             shards,
             vc_kinds,
             fabric,
+            queue: EventQueue::from_snapshot(queue),
             next_seq,
             now,
             app_vc,
             next_app,
             scratch_out: Vec::new(),
-            event_bufs: Vec::new(),
+            touched: Vec::new(),
             effect_bufs: Vec::new(),
             effect_gather: Vec::new(),
             parallel_runs,

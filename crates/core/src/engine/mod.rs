@@ -7,19 +7,20 @@
 //! the underlying model has always had:
 //!
 //! * [`VcShard`] — one per Virtual Cluster. Owns the framework master,
-//!   the applications the VC hosts, their execution stints, in-flight
-//!   acquisitions and a **shard-local calendar event queue** (the
-//!   [`meryn_sim::EventQueue`]). Every event belongs to exactly one
-//!   shard. Shard handlers mutate *only* shard state; anything they
-//!   need from the shared world is emitted as a typed [`Effect`].
+//!   the applications the VC hosts, their execution stints and in-flight
+//!   acquisitions. Every event belongs to exactly one shard. Shard
+//!   handlers mutate *only* shard state; anything they need from the
+//!   shared world is emitted as a typed [`Effect`].
 //! * [`SharedFabric`] — the singletons: private pool, public clouds,
 //!   billing ledger, usage metrics and the Client-Manager queue. It
 //!   consumes effects; it never calls into shards.
-//! * [`Platform`] — owns both. Its one run function drains the
-//!   same-instant run of events at the next instant, processes each
-//!   shard's slice independently — **in parallel through the rayon shim
-//!   when the run spans shards** — and then applies the collected
-//!   effects sequentially in canonical `(due, seq, vc)` order.
+//! * [`Platform`] — owns both, and the one calendar event queue (the
+//!   [`meryn_sim::EventQueue`]) holding every shard's pending events.
+//!   Its one run function drains the same-instant run of events at the
+//!   next instant, processes each shard's slice independently — **in
+//!   parallel through the rayon shim when the run spans shards** — and
+//!   then applies the collected effects sequentially in canonical
+//!   `(due, seq, vc)` order.
 //!   [`Platform::run_until`] loops over it; [`Platform::step`] calls it
 //!   once.
 //!

@@ -1,9 +1,12 @@
 //! One Virtual Cluster's shard: its framework, applications, stints and
-//! local event queue.
+//! its slice of each same-instant run.
 //!
 //! A shard's handlers are the *framework-local* half of the old
 //! platform loop: framework submission and dispatch, job completion
-//! bookkeeping, SLA checks. They mutate only shard-owned state and emit
+//! bookkeeping, SLA checks. The shard queues nothing itself: the engine
+//! keeps every pending event in its one queue and, per same-instant
+//! run, fills each owning shard's inbox with its slice, in global seq
+//! order. Handlers mutate only shard-owned state and emit
 //! [`Effect`]s for everything else (billing, usage metrics, VM
 //! tear-downs, follow-up events) — which is exactly what makes a batch
 //! of same-instant events from *different* shards safe to process on
@@ -12,7 +15,7 @@
 use std::collections::BTreeMap;
 
 use meryn_frameworks::{Dispatch, JobId};
-use meryn_sim::{EventQueue, QueueSnapshot, SimDuration, SimRng, SimTime};
+use meryn_sim::{SimDuration, SimRng, SimTime};
 use meryn_sla::{Money, VmRate};
 use meryn_vmm::{CloudId, LatencyModel, Location, VmId};
 use serde::{Deserialize, Serialize};
@@ -137,9 +140,14 @@ pub struct VcShard {
     pub vc: VirtualCluster,
     /// The applications this VC hosts, by id.
     pub apps: AppMap,
-    /// The shard-local event queue (globally-tagged; merged with its
-    /// siblings by the executor).
-    pub queue: EventQueue<Event>,
+    /// This shard's slice of the same-instant run being processed:
+    /// `(seq, event)` pairs in global seq order, filled by the executor
+    /// as it drains the engine's one queue and emptied by
+    /// [`VcShard::process`] (a recycled buffer, empty between runs).
+    pub(crate) inbox: Vec<(u64, Event)>,
+    /// Events this shard has processed — its share of the engine
+    /// queue's pops.
+    pub(crate) popped: u64,
     /// Open execution stints by framework job.
     pub(crate) stints: BTreeMap<JobId, Stint>,
     /// In-flight multi-step acquisitions by application.
@@ -187,7 +195,8 @@ impl VcShard {
         VcShard {
             vc,
             apps: AppMap::default(),
-            queue: EventQueue::new(),
+            inbox: Vec::new(),
+            popped: 0,
             stints: BTreeMap::new(),
             pending: BTreeMap::new(),
             acquired: BTreeMap::new(),
@@ -220,14 +229,14 @@ impl VcShard {
     }
 
     /// Logical events this shard has processed (the per-shard counter
-    /// surfaced by `scenario --bench`): the queue's own count plus the
+    /// surfaced by `scenario --bench`): the events it popped plus the
     /// extra per-VM ticks coalesced choreography events stand for.
     pub fn events_processed(&self) -> u64 {
-        self.queue.events_processed() + self.extra_ticks
+        self.popped + self.extra_ticks
     }
 
     /// Credits the extra logical ticks of a coalesced batch of `n` VMs
-    /// (the queue already counted the event itself as one).
+    /// (the pop already counted the event itself as one).
     fn credit_batch(&mut self, n: usize) {
         self.extra_ticks += (n as u64).saturating_sub(1);
     }
@@ -254,22 +263,24 @@ impl VcShard {
 
     // ---- the shard's slice of one time step -------------------------------
 
-    /// Processes this shard's slice of a same-instant batch, in global
-    /// seq order. Effects are collected into the recycled `effects`
-    /// buffer; both buffers come back (events cleared) so the executor
-    /// can pool them.
+    /// Processes this shard's slice of a same-instant run — the
+    /// [`VcShard::inbox`] — in global seq order. Effects are collected
+    /// into the recycled `effects` buffer, which comes back so the
+    /// executor can pool it; the inbox is left empty.
     pub(crate) fn process(
         &mut self,
         due: SimTime,
-        mut events: Vec<(u64, Event)>,
         effects: Vec<SequencedEffect>,
-    ) -> (Vec<(u64, Event)>, Vec<SequencedEffect>) {
+    ) -> Vec<SequencedEffect> {
+        let mut events = std::mem::take(&mut self.inbox);
+        self.popped += events.len() as u64;
         let mut sink = EffectSink::with_buffer(due, self.vc.id, 0, effects);
         for (seq, ev) in events.drain(..) {
             sink.set_seq(seq);
             self.handle(due, ev, &mut sink);
         }
-        (events, sink.into_effects())
+        self.inbox = events;
+        sink.into_effects()
     }
 
     /// Dispatches one shard-owned event.
@@ -932,15 +943,15 @@ impl VcShard {
 
     // ---- checkpointing ----------------------------------------------------
 
-    /// Captures this shard's full state. Scratch buffers are transient
-    /// by construction (always empty between events) and are not
-    /// captured; [`ShardPolicy`] is rebuilt from the platform config at
-    /// restore.
+    /// Captures this shard's full state. Scratch buffers and the inbox
+    /// are transient by construction (always empty between runs) and
+    /// are not captured; [`ShardPolicy`] is rebuilt from the platform
+    /// config at restore. Pending events live in the engine's queue.
     pub(crate) fn snapshot(&self) -> ShardSnapshot {
         ShardSnapshot {
             vc: self.vc.snapshot(),
             apps: self.apps.clone(),
-            queue: self.queue.snapshot(),
+            popped: self.popped,
             stints: self.stints.clone(),
             pending: self.pending.clone(),
             acquired: self.acquired.clone(),
@@ -956,7 +967,8 @@ impl VcShard {
         VcShard {
             vc: snap.vc.into_cluster(),
             apps: snap.apps,
-            queue: EventQueue::from_snapshot(snap.queue),
+            inbox: Vec::new(),
+            popped: snap.popped,
             stints: snap.stints,
             pending: snap.pending,
             acquired: snap.acquired,
@@ -976,7 +988,7 @@ impl VcShard {
 pub struct ShardSnapshot {
     vc: VcSnapshot,
     apps: AppMap,
-    queue: QueueSnapshot<Event>,
+    popped: u64,
     stints: BTreeMap<JobId, Stint>,
     pending: BTreeMap<AppId, PendingAcquisition>,
     acquired: BTreeMap<AppId, Vec<VmId>>,

@@ -11,8 +11,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::FrameworkError;
 use crate::job::JobSpec;
-use crate::perf::batch_exec_time;
-use crate::scheduler::{DedicatedScheduler, ExecModel, SlaveInfo};
+use crate::perf::{batch_exec_time, SlaveSet};
+use crate::scheduler::{DedicatedScheduler, ExecModel};
 use crate::traits::{delegate_framework, FrameworkKind};
 
 /// Execution model for batch jobs.
@@ -24,16 +24,9 @@ impl ExecModel for BatchModel {
         "batch"
     }
 
-    fn exec_time(
-        &self,
-        spec: &JobSpec,
-        slaves: &[SlaveInfo],
-    ) -> Result<SimDuration, FrameworkError> {
+    fn exec_time(&self, spec: &JobSpec, slaves: SlaveSet) -> Result<SimDuration, FrameworkError> {
         match spec {
-            JobSpec::Batch { work, scaling, .. } => {
-                let speeds: Vec<f64> = slaves.iter().map(|s| s.speed).collect();
-                Ok(batch_exec_time(*work, *scaling, &speeds))
-            }
+            JobSpec::Batch { work, scaling, .. } => Ok(batch_exec_time(*work, *scaling, slaves)),
             other => Err(FrameworkError::WrongJobType {
                 expected: "batch",
                 got: other.type_name(),

@@ -12,8 +12,8 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::FrameworkError;
 use crate::job::JobSpec;
-use crate::perf::mapreduce_exec_time;
-use crate::scheduler::{DedicatedScheduler, ExecModel, SlaveInfo};
+use crate::perf::{mapreduce_exec_time, SlaveSet};
+use crate::scheduler::{DedicatedScheduler, ExecModel};
 use crate::traits::{delegate_framework, FrameworkKind};
 
 /// Execution model for MapReduce jobs.
@@ -37,11 +37,7 @@ impl ExecModel for MapReduceModel {
         "mapreduce"
     }
 
-    fn exec_time(
-        &self,
-        spec: &JobSpec,
-        slaves: &[SlaveInfo],
-    ) -> Result<SimDuration, FrameworkError> {
+    fn exec_time(&self, spec: &JobSpec, slaves: SlaveSet) -> Result<SimDuration, FrameworkError> {
         match *spec {
             JobSpec::MapReduce {
                 map_tasks,
@@ -50,20 +46,15 @@ impl ExecModel for MapReduceModel {
                 reduce_work,
                 slots_per_vm,
                 ..
-            } => {
-                let speeds: Vec<f64> = slaves.iter().map(|s| s.speed).collect();
-                let remote = slaves.iter().filter(|s| s.remote).count();
-                Ok(mapreduce_exec_time(
-                    map_tasks,
-                    map_work,
-                    reduce_tasks,
-                    reduce_work,
-                    &speeds,
-                    slots_per_vm,
-                    remote,
-                    self.locality_penalty_pct,
-                ))
-            }
+            } => Ok(mapreduce_exec_time(
+                map_tasks,
+                map_work,
+                reduce_tasks,
+                reduce_work,
+                slaves,
+                slots_per_vm,
+                self.locality_penalty_pct,
+            )),
             ref other => Err(FrameworkError::WrongJobType {
                 expected: "mapreduce",
                 got: other.type_name(),

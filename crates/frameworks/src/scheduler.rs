@@ -18,17 +18,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::FrameworkError;
 use crate::job::{Dispatch, JobDone, JobId, JobSpec, JobState};
-
-/// What the execution model needs to know about a slave.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SlaveInfo {
-    /// The slave VM.
-    pub vm: VmId,
-    /// Relative CPU speed (1.0 = reference).
-    pub speed: f64,
-    /// True when the slave is a leased cloud VM (remote to the data).
-    pub remote: bool,
-}
+use crate::perf::SlaveSet;
 
 /// A framework-specific execution-time model.
 pub trait ExecModel {
@@ -37,11 +27,7 @@ pub trait ExecModel {
 
     /// Predicted execution time of the *whole* job `spec` on `slaves`.
     /// Returns [`FrameworkError::WrongJobType`] for foreign specs.
-    fn exec_time(
-        &self,
-        spec: &JobSpec,
-        slaves: &[SlaveInfo],
-    ) -> Result<SimDuration, FrameworkError>;
+    fn exec_time(&self, spec: &JobSpec, slaves: SlaveSet) -> Result<SimDuration, FrameworkError>;
 }
 
 /// A job tracked by the scheduler.
@@ -85,11 +71,26 @@ struct Slave {
     reserved: bool,
 }
 
+impl Slave {
+    /// Free for the FIFO dispatcher: neither running a job nor
+    /// reserved.
+    fn is_idle(&self) -> bool {
+        self.busy.is_none() && !self.reserved
+    }
+}
+
 /// The scheduler shared by both frameworks.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DedicatedScheduler<M> {
     model: M,
     slaves: BTreeMap<VmId, Slave>,
+    /// Number of idle slaves in `slaves` (see `Slave::is_idle`), kept
+    /// in step by every state change so [`DedicatedScheduler::idle_count`]
+    /// is O(1). Never serialized: a restore rebuilds it from the slave
+    /// map ([`DedicatedScheduler::recount_idle`]), so a hand-edited
+    /// snapshot cannot desynchronize it.
+    #[serde(skip)]
+    idle: u64,
     /// Job table: every job from submission until its owner retires it
     /// ([`DedicatedScheduler::retire_job`]). A finished job stays
     /// queryable until then; the engine retires each one as its
@@ -118,6 +119,7 @@ impl<M: ExecModel> DedicatedScheduler<M> {
         DedicatedScheduler {
             model,
             slaves: BTreeMap::new(),
+            idle: 0,
             jobs: DetHashMap::default(),
             queue: VecDeque::new(),
             held: BTreeSet::new(),
@@ -156,7 +158,35 @@ impl<M: ExecModel> DedicatedScheduler<M> {
                 reserved: false,
             },
         );
+        self.idle += 1;
         Ok(())
+    }
+
+    /// Applies `change` to `vm`'s slave entry and moves the idle count
+    /// by however the change moved the slave in or out of idleness.
+    fn update_slave(
+        &mut self,
+        vm: VmId,
+        change: impl FnOnce(&mut Slave),
+    ) -> Result<(), FrameworkError> {
+        let slave = self
+            .slaves
+            .get_mut(&vm)
+            .ok_or(FrameworkError::UnknownSlave(vm))?;
+        let was_idle = slave.is_idle();
+        change(slave);
+        match (was_idle, slave.is_idle()) {
+            (true, false) => self.idle -= 1,
+            (false, true) => self.idle += 1,
+            _ => {}
+        }
+        Ok(())
+    }
+
+    /// Rebuilds the idle count from the slave map — the restore path,
+    /// since the count is not serialized.
+    pub(crate) fn recount_idle(&mut self) {
+        self.idle = self.slaves.values().filter(|s| s.is_idle()).count() as u64;
     }
 
     /// Marks an idle slave as reserved: it will not be handed to queued
@@ -164,23 +194,17 @@ impl<M: ExecModel> DedicatedScheduler<M> {
     pub fn reserve_slave(&mut self, vm: VmId) -> Result<(), FrameworkError> {
         let slave = self
             .slaves
-            .get_mut(&vm)
+            .get(&vm)
             .ok_or(FrameworkError::UnknownSlave(vm))?;
         if let Some(job) = slave.busy {
             return Err(FrameworkError::SlaveBusy(vm, job));
         }
-        slave.reserved = true;
-        Ok(())
+        self.update_slave(vm, |s| s.reserved = true)
     }
 
     /// Releases a reservation.
     pub fn unreserve_slave(&mut self, vm: VmId) -> Result<(), FrameworkError> {
-        let slave = self
-            .slaves
-            .get_mut(&vm)
-            .ok_or(FrameworkError::UnknownSlave(vm))?;
-        slave.reserved = false;
-        Ok(())
+        self.update_slave(vm, |s| s.reserved = false)
     }
 
     /// Unregisters an idle slave. Busy slaves are refused — suspend the
@@ -193,17 +217,26 @@ impl<M: ExecModel> DedicatedScheduler<M> {
         if let Some(job) = slave.busy {
             return Err(FrameworkError::SlaveBusy(vm, job));
         }
+        if slave.is_idle() {
+            self.idle -= 1;
+        }
         self.slaves.remove(&vm);
         Ok(())
     }
 
+    /// Frees every slave in `vms` from the job occupying it.
+    fn free_slaves(&mut self, vms: &[VmId]) {
+        for &vm in vms {
+            self.update_slave(vm, |s| s.busy = None)
+                .expect("assigned slave exists");
+        }
+    }
+
     /// Idle, unreserved slaves in deterministic (id) order.
     pub fn idle_slaves(&self) -> Vec<VmId> {
-        self.slaves
-            .iter()
-            .filter(|(_, s)| s.busy.is_none() && !s.reserved)
-            .map(|(&vm, _)| vm)
-            .collect()
+        let mut out = Vec::new();
+        self.idle_slaves_into(usize::MAX, &mut out);
+        out
     }
 
     /// Appends up to `limit` idle, unreserved slaves to `out`, in id
@@ -212,18 +245,20 @@ impl<M: ExecModel> DedicatedScheduler<M> {
         out.extend(
             self.slaves
                 .iter()
-                .filter(|(_, s)| s.busy.is_none() && !s.reserved)
+                .filter(|(_, s)| s.is_idle())
                 .map(|(&vm, _)| vm)
                 .take(limit),
         );
     }
 
-    /// Number of idle, unreserved slaves.
+    /// Number of idle, unreserved slaves: a counter read, O(1).
     pub fn idle_count(&self) -> u64 {
-        self.slaves
-            .values()
-            .filter(|s| s.busy.is_none() && !s.reserved)
-            .count() as u64
+        debug_assert_eq!(
+            self.idle,
+            self.slaves.values().filter(|s| s.is_idle()).count() as u64,
+            "idle count out of step with the slave map"
+        );
+        self.idle
     }
 
     /// Total registered slaves.
@@ -302,21 +337,21 @@ impl<M: ExecModel> DedicatedScheduler<M> {
     fn start_on(&mut self, job_id: JobId, chosen: Vec<VmId>, now: SimTime) -> Dispatch {
         let job = self.jobs.get(&job_id).expect("job exists");
         debug_assert_eq!(chosen.len() as u64, job.nb_vms());
-        let infos: Vec<SlaveInfo> = chosen
-            .iter()
-            .map(|&vm| {
-                let s = &self.slaves[&vm];
-                SlaveInfo {
-                    vm,
-                    speed: s.speed,
-                    remote: s.remote,
-                }
-            })
-            .collect();
+        let slaves = chosen.iter().fold(SlaveSet::EMPTY, |set, vm| {
+            let s = &self.slaves[vm];
+            set.with(s.speed, s.remote)
+        });
         let full = self
             .model
-            .exec_time(&job.spec, &infos)
+            .exec_time(&job.spec, slaves)
             .expect("spec type checked at submit");
+        for &vm in &chosen {
+            self.update_slave(vm, |s| {
+                s.busy = Some(job_id);
+                s.reserved = false;
+            })
+            .expect("chosen slave exists");
+        }
         let job = self.jobs.get_mut(&job_id).expect("queued job exists");
         let exec_total = full.scale(job.remaining_fraction);
         let finish_at = now + exec_total;
@@ -327,11 +362,6 @@ impl<M: ExecModel> DedicatedScheduler<M> {
             exec_total,
             finish_at,
         };
-        for &vm in &chosen {
-            let slave = self.slaves.get_mut(&vm).expect("chosen slave exists");
-            slave.busy = Some(job_id);
-            slave.reserved = false;
-        }
         self.running.insert(job_id);
         Dispatch {
             job: job_id,
@@ -406,16 +436,14 @@ impl<M: ExecModel> DedicatedScheduler<M> {
         if job.epoch != epoch || !job.is_running() {
             return Ok(None);
         }
-        let vms = match &job.state {
-            JobState::Running { vms, .. } => vms.clone(),
-            _ => unreachable!("checked is_running above"),
+        let JobState::Running { vms, .. } =
+            std::mem::replace(&mut job.state, JobState::Done { at: now })
+        else {
+            unreachable!("checked is_running above")
         };
-        job.state = JobState::Done { at: now };
         job.remaining_fraction = 0.0;
         self.running.remove(&job_id);
-        for vm in &vms {
-            self.slaves.get_mut(vm).expect("assigned slave exists").busy = None;
-        }
+        self.free_slaves(&vms);
         Ok(Some(JobDone { job: job_id, vms }))
     }
 
@@ -444,14 +472,17 @@ impl<M: ExecModel> DedicatedScheduler<M> {
             .jobs
             .get_mut(&job_id)
             .ok_or(FrameworkError::UnknownJob(job_id))?;
-        let (vms, started, exec_total) = match &job.state {
-            JobState::Running {
-                vms,
-                started,
-                exec_total,
-                ..
-            } => (vms.clone(), *started, *exec_total),
-            _ => return Err(FrameworkError::NotRunning(job_id)),
+        if !job.is_running() {
+            return Err(FrameworkError::NotRunning(job_id));
+        }
+        let JobState::Running {
+            vms,
+            started,
+            exec_total,
+            ..
+        } = std::mem::replace(&mut job.state, JobState::Suspended { since: now })
+        else {
+            unreachable!("checked is_running above")
         };
         let elapsed = now.since(started);
         let done_frac = if exec_total.is_zero() {
@@ -462,11 +493,8 @@ impl<M: ExecModel> DedicatedScheduler<M> {
         job.remaining_fraction *= 1.0 - done_frac;
         job.epoch += 1;
         job.suspensions += 1;
-        job.state = JobState::Suspended { since: now };
         self.running.remove(&job_id);
-        for vm in &vms {
-            self.slaves.get_mut(vm).expect("assigned slave exists").busy = None;
-        }
+        self.free_slaves(&vms);
         self.held.insert(job_id);
         Ok(vms)
     }
@@ -484,17 +512,17 @@ impl<M: ExecModel> DedicatedScheduler<M> {
             .jobs
             .get_mut(&job_id)
             .ok_or(FrameworkError::UnknownJob(job_id))?;
-        let vms = match &job.state {
-            JobState::Running { vms, .. } => vms.clone(),
-            _ => return Err(FrameworkError::NotRunning(job_id)),
+        if !job.is_running() {
+            return Err(FrameworkError::NotRunning(job_id));
+        }
+        let JobState::Running { vms, .. } = std::mem::replace(&mut job.state, JobState::Queued)
+        else {
+            unreachable!("checked is_running above")
         };
         job.remaining_fraction = 1.0;
         job.epoch += 1;
-        job.state = JobState::Queued;
         self.running.remove(&job_id);
-        for vm in &vms {
-            self.slaves.get_mut(vm).expect("assigned slave exists").busy = None;
-        }
+        self.free_slaves(&vms);
         self.queue.push_front(job_id);
         Ok(vms)
     }
@@ -631,14 +659,8 @@ impl<M: ExecModel> DedicatedScheduler<M> {
         speed: f64,
         remote: bool,
     ) -> Result<SimDuration, FrameworkError> {
-        let fake: Vec<SlaveInfo> = (0..k.max(1))
-            .map(|i| SlaveInfo {
-                vm: VmId::new(meryn_vmm::HostTag(u16::MAX), i),
-                speed,
-                remote,
-            })
-            .collect();
-        self.model.exec_time(spec, &fake)
+        self.model
+            .exec_time(spec, SlaveSet::uniform(k.max(1), speed, remote))
     }
 }
 
@@ -657,12 +679,11 @@ mod tests {
         fn exec_time(
             &self,
             spec: &JobSpec,
-            slaves: &[SlaveInfo],
+            slaves: SlaveSet,
         ) -> Result<SimDuration, FrameworkError> {
             match spec {
                 JobSpec::Batch { work, scaling, .. } => {
-                    let speeds: Vec<f64> = slaves.iter().map(|s| s.speed).collect();
-                    Ok(batch_exec_time(*work, *scaling, &speeds))
+                    Ok(batch_exec_time(*work, *scaling, slaves))
                 }
                 other => Err(FrameworkError::WrongJobType {
                     expected: "batch",
@@ -925,12 +946,11 @@ mod hold_tests {
         fn exec_time(
             &self,
             spec: &JobSpec,
-            slaves: &[SlaveInfo],
+            slaves: SlaveSet,
         ) -> Result<meryn_sim::SimDuration, crate::error::FrameworkError> {
             match spec {
                 JobSpec::Batch { work, scaling, .. } => {
-                    let speeds: Vec<f64> = slaves.iter().map(|s| s.speed).collect();
-                    Ok(crate::perf::batch_exec_time(*work, *scaling, &speeds))
+                    Ok(crate::perf::batch_exec_time(*work, *scaling, slaves))
                 }
                 other => Err(crate::error::FrameworkError::WrongJobType {
                     expected: "batch",
@@ -1013,12 +1033,11 @@ mod withdraw_tests {
         fn exec_time(
             &self,
             spec: &JobSpec,
-            slaves: &[SlaveInfo],
+            slaves: SlaveSet,
         ) -> Result<SimDuration, FrameworkError> {
             match spec {
                 JobSpec::Batch { work, scaling, .. } => {
-                    let speeds: Vec<f64> = slaves.iter().map(|s| s.speed).collect();
-                    Ok(crate::perf::batch_exec_time(*work, *scaling, &speeds))
+                    Ok(crate::perf::batch_exec_time(*work, *scaling, slaves))
                 }
                 other => Err(FrameworkError::WrongJobType {
                     expected: "batch",

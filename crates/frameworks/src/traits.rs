@@ -48,11 +48,19 @@ pub enum FrameworkSnapshot {
 }
 
 impl FrameworkSnapshot {
-    /// Rebuilds the boxed framework this snapshot was taken from.
+    /// Rebuilds the boxed framework this snapshot was taken from,
+    /// recounting its idle slaves from its slave map (the count is not
+    /// part of the snapshot).
     pub fn into_framework(self) -> Box<dyn Framework> {
         match self {
-            FrameworkSnapshot::Batch(fw) => Box::new(fw),
-            FrameworkSnapshot::MapReduce(fw) => Box::new(fw),
+            FrameworkSnapshot::Batch(mut fw) => {
+                fw.inner.recount_idle();
+                Box::new(fw)
+            }
+            FrameworkSnapshot::MapReduce(mut fw) => {
+                fw.inner.recount_idle();
+                Box::new(fw)
+            }
         }
     }
 }

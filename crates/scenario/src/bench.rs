@@ -3,7 +3,8 @@
 //!
 //! [`bench_scenario`] runs every expanded variant's headline simulation
 //! once, single-threaded and untimed by the sweep harness, and reports
-//! wall-clock time plus the platform's own event counter. The JSON it
+//! wall-clock time plus the platform's own event counters: the logical
+//! events it credits and the raw pops of its event queue. The JSON it
 //! produces (`scenario --bench --json`) is the `BENCH_4.json` artifact;
 //! its timings are machine-dependent, so unlike scenario reports it is
 //! **not** byte-compared across thread counts — only the simulation
@@ -17,12 +18,12 @@ use serde::Serialize;
 use crate::runner::{build_run, expand_variants};
 use crate::spec::Scenario;
 
-/// One VC shard queue's share of a run's events.
+/// One VC shard's share of a run's events.
 #[derive(Debug, Clone, Serialize)]
 pub struct QueueEvents {
-    /// Queue name: the VC's name.
+    /// The VC's name.
     pub queue: String,
-    /// Events that queue processed.
+    /// Logical events that VC's shard processed.
     pub events: u64,
 }
 
@@ -31,9 +32,13 @@ pub struct QueueEvents {
 pub struct BenchVariant {
     /// Axis label, e.g. `"policy=meryn"`.
     pub label: String,
-    /// Simulation events processed by the run.
+    /// Logical simulation events processed by the run: a coalesced VM
+    /// batch counts one event per VM.
     pub events: u64,
-    /// Per-queue breakdown: one entry per VC shard, `VcId` order.
+    /// Events popped from the engine's queue — each coalesced batch
+    /// once. Never more than `events`.
+    pub raw_events: u64,
+    /// Per-shard breakdown of `events`: one entry per VC, `VcId` order.
     pub events_by_queue: Vec<QueueEvents>,
     /// Same-instant cross-shard runs the executor fanned out to worker
     /// threads.
@@ -104,14 +109,14 @@ impl BenchReport {
             .max(7);
         let _ = writeln!(
             out,
-            "{:<label_w$} {:>12} {:>10} {:>14}",
-            "variant", "events", "wall [s]", "events/sec"
+            "{:<label_w$} {:>12} {:>12} {:>10} {:>14}",
+            "variant", "events", "raw events", "wall [s]", "events/sec"
         );
         for v in &self.variants {
             let _ = writeln!(
                 out,
-                "{:<label_w$} {:>12} {:>10.3} {:>14.0}",
-                v.label, v.events, v.wall_secs, v.events_per_sec
+                "{:<label_w$} {:>12} {:>12} {:>10.3} {:>14.0}",
+                v.label, v.events, v.raw_events, v.wall_secs, v.events_per_sec
             );
             let shares: Vec<String> = v
                 .events_by_queue
@@ -126,10 +131,11 @@ impl BenchReport {
                 v.parallel_runs
             );
         }
+        let raw_total: u64 = self.variants.iter().map(|v| v.raw_events).sum();
         let _ = writeln!(
             out,
-            "{:<label_w$} {:>12} {:>10.3} {:>14.0}",
-            "total", self.total_events, self.total_wall_secs, self.events_per_sec
+            "{:<label_w$} {:>12} {:>12} {:>10.3} {:>14.0}",
+            "total", self.total_events, raw_total, self.total_wall_secs, self.events_per_sec
         );
         if let Some(rss) = self.peak_rss_bytes {
             let _ = writeln!(out, "peak RSS: {:.1} MiB", rss as f64 / (1024.0 * 1024.0));
@@ -168,6 +174,7 @@ pub fn bench_scenario(scenario: &Scenario) -> io::Result<BenchReport> {
             .map(|(queue, events)| QueueEvents { queue, events })
             .collect();
         let parallel_runs = platform.parallel_runs();
+        let raw_events = platform.raw_events();
         let report = platform.finalize();
         let wall = start.elapsed().as_secs_f64();
         let events = report.events_processed;
@@ -176,6 +183,7 @@ pub fn bench_scenario(scenario: &Scenario) -> io::Result<BenchReport> {
         variants_out.push(BenchVariant {
             label: variant.label,
             events,
+            raw_events,
             events_by_queue,
             parallel_runs,
             wall_secs: wall,
@@ -232,6 +240,7 @@ mod tests {
         }
         let rendered = b.render();
         assert!(rendered.contains("events/sec"));
+        assert!(rendered.contains("raw events"));
         assert!(rendered.contains("parallel_runs="));
         assert!(b.to_json().contains("\"events_by_queue\""));
         assert!(b.to_json().contains("\"total_events\""));

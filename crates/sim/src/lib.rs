@@ -21,9 +21,10 @@
 //! threads. Higher layers (see `meryn-core::engine`) own the loop and the
 //! domain state. Parallelism in this workspace lives at two levels — one
 //! simulation per thread (the replica sweeps) and, inside one simulation,
-//! per-shard batches of same-instant events merged back through
-//! [`queue::earliest_key`] — and neither needs interior mutability or locks
-//! here: queues are owned by their shards and merged by value-level keys.
+//! per-shard slices of one same-instant run, drained from the engine's one
+//! queue with [`queue::EventQueue::pop_at`] — and neither needs interior
+//! mutability or locks here: the queue is owned by the engine, and a
+//! run's events carry globally-unique value-level keys.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

@@ -227,17 +227,17 @@ impl<E> EventQueue<E> {
     /// Schedules `event` at `due` with an externally-assigned sequence
     /// tag.
     ///
-    /// This is the multi-queue entry point: when several queues (e.g.
-    /// an engine's per-shard queues) share one global ordering,
-    /// a single external counter hands out the tags and the queues are
-    /// merged by [`EventQueue::peek_key`]. Tags may arrive out of order
-    /// — a workload's arrival stream reserves its tags up front and
-    /// dispatches each arrival at its instant, after larger runtime tags
-    /// already entered the queue — but each `(due, seq)` pair is
-    /// globally unique and every level orders by the full pair, so
-    /// placement stays exact. The
-    /// only obligation on the caller is the same as [`EventQueue::push`]'s:
-    /// never schedule below an already-popped `(due, seq)`.
+    /// This is the entry point for a caller that hands out the tags
+    /// itself — an engine whose one counter also tags events that are
+    /// not queued yet, or several queues sharing one global ordering,
+    /// merged by [`EventQueue::peek_key`] and [`earliest_key`]. Tags may
+    /// arrive out of order — a workload's arrival stream reserves its
+    /// tags up front and dispatches each arrival at its instant, after
+    /// larger runtime tags already entered the queue — but each
+    /// `(due, seq)` pair is globally unique and every level orders by
+    /// the full pair, so placement stays exact. The only obligation on
+    /// the caller is the same as [`EventQueue::push`]'s: never schedule
+    /// below an already-popped `(due, seq)`.
     pub fn push_tagged(&mut self, due: SimTime, seq: u64, event: E) {
         self.seq = self.seq.max(seq + 1);
         self.insert(Scheduled { due, seq, event });
@@ -330,11 +330,39 @@ impl<E> EventQueue<E> {
     pub fn pop_keyed(&mut self) -> Option<(SimTime, u64, E)> {
         self.ensure_front();
         let sched = self.drain.pop_front()?;
+        Some(self.take_popped(sched))
+    }
+
+    /// Pops the next event with its sequence tag if it is due exactly
+    /// at `t`, `None` otherwise — the drain of one same-instant run.
+    ///
+    /// Unlike [`EventQueue::pop_keyed`] this never rotates the window
+    /// once `t`'s tick is open: every pending event of an open tick
+    /// sits in the drain buffer, so an empty buffer already means
+    /// nothing is left at `t`. Draining an instant this way leaves the
+    /// next tick in its bucket, and events pushed at `t` while the run
+    /// is processed append to a short buffer instead of being inserted
+    /// in front of the next tick's whole batch.
+    pub fn pop_at(&mut self, t: SimTime) -> Option<(u64, E)> {
+        if t.as_millis() / TICK_MS > self.cursor {
+            self.ensure_front();
+        }
+        if self.drain.front()?.due != t {
+            return None;
+        }
+        let sched = self.drain.pop_front()?;
+        let (_, seq, event) = self.take_popped(sched);
+        Some((seq, event))
+    }
+
+    /// Books one event leaving the drain buffer: advances the clock to
+    /// its due time and counts the pop.
+    fn take_popped(&mut self, sched: Scheduled<E>) -> (SimTime, u64, E) {
         debug_assert!(sched.due >= self.now);
         self.now = sched.due;
         self.popped += 1;
         self.len -= 1;
-        Some((sched.due, sched.seq, sched.event))
+        (sched.due, sched.seq, sched.event)
     }
 
     /// Drops every pending event, keeping the clock where it is.
@@ -419,15 +447,17 @@ impl<E: Clone> EventQueue<E> {
     }
 }
 
-/// The merge point of a multi-queue executor: given the
-/// [`EventQueue::peek_key`] of every queue sharing one globally-tagged
-/// event space, returns the index of the queue holding the globally
-/// next event and that event's `(due, seq)` key.
+/// The merge point of several queues sharing one globally-tagged event
+/// space: given the [`EventQueue::peek_key`] of every queue, returns the
+/// index of the queue holding the globally next event and that event's
+/// `(due, seq)` key.
 ///
-/// This is the *shard barrier*: everything strictly before the returned
-/// key has already been popped, so a batch of same-instant events
-/// drained up to the next foreign key can be processed out of line
-/// (e.g. shard-parallel) without reordering the global schedule.
+/// Everything strictly before the returned key has already been
+/// popped, so a batch of same-instant events drained up to the next
+/// foreign key can be processed out of line without reordering the
+/// global schedule. The engine keeps one queue instead, so nothing has
+/// to be merged per instant; this is the reference the one-queue drain
+/// is property-tested against.
 pub fn earliest_key(
     keys: impl IntoIterator<Item = Option<(SimTime, u64)>>,
 ) -> Option<(usize, (SimTime, u64))> {
