@@ -28,19 +28,36 @@ fn small_paper() -> Scenario {
     s
 }
 
-/// Writes `scenario` as `<stem>.json` into a per-process temp dir —
-/// one file per test, as the harness runs tests concurrently.
-fn save_spec(stem: &str, scenario: &Scenario) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("meryn-scenario-bin-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-    let path = dir.join(format!("{stem}.json"));
-    scenario.save(&path).expect("write spec");
-    path
+/// One test's own temp directory, removed when the test ends: tests
+/// run concurrently, so each writes its specs, checkpoints and reports
+/// where no other test looks, and leaves nothing behind.
+struct TestDir(PathBuf);
+
+impl TestDir {
+    fn new(test: &str) -> Self {
+        let dir =
+            std::env::temp_dir().join(format!("meryn-scenario-bin-{}-{test}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("create temp dir");
+        TestDir(dir)
+    }
+
+    /// Writes `scenario` as `<stem>.json` into the directory.
+    fn save_spec(&self, stem: &str, scenario: &Scenario) -> PathBuf {
+        let path = self.0.join(format!("{stem}.json"));
+        scenario.save(&path).expect("write spec");
+        path
+    }
+
+    /// A minimal spec file for the failure-path invocations.
+    fn spec_path(&self, stem: &str) -> PathBuf {
+        self.save_spec(stem, &small_paper())
+    }
 }
 
-/// A minimal spec file for the failure-path invocations.
-fn spec_path(stem: &str) -> PathBuf {
-    save_spec(stem, &small_paper())
+impl Drop for TestDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
+    }
 }
 
 /// Runs the binary and returns (exit code, stderr).
@@ -54,8 +71,9 @@ fn run(cmd: &mut Command) -> (Option<i32>, String) {
 
 #[test]
 fn malformed_specs_exit_2_with_diagnostic() {
+    let dir = TestDir::new("malformed_specs_exit_2_with_diagnostic");
     type Break = fn(&mut Scenario);
-    let cases: [(&str, Break, &str); 5] = [
+    let cases: [(&str, Break, &str); 6] = [
         (
             "empty-axis",
             |s| s.sweep.axes = vec![SweepAxis::PenaltyFactor { values: vec![] }],
@@ -90,11 +108,16 @@ fn malformed_specs_exit_2_with_diagnostic() {
             },
             "unknown placement policy \"no-such-policy\"",
         ),
+        (
+            "table1-zero",
+            |s| s.outputs.table1_samples = Some(0),
+            "outputs.table1_samples must be at least 1",
+        ),
     ];
     for (stem, break_spec, diagnostic) in cases {
         let mut scenario = small_paper();
         break_spec(&mut scenario);
-        let (code, stderr) = run(scenario_bin().arg(save_spec(stem, &scenario)));
+        let (code, stderr) = run(scenario_bin().arg(dir.save_spec(stem, &scenario)));
         assert_eq!(code, Some(2), "{stem} → exit 2: {stderr}");
         assert!(
             stderr.contains(diagnostic),
@@ -117,7 +140,8 @@ fn u64_field(fields: &[(String, Value)], key: &str) -> u64 {
 
 #[test]
 fn bench_json_reports_raw_queue_pops_beside_credited_events() {
-    let spec = spec_path("bench");
+    let dir = TestDir::new("bench_json_reports_raw_queue_pops_beside_credited_events");
+    let spec = dir.spec_path("bench");
     let out = spec.with_file_name("bench-report.json");
     let (code, stderr) = run(scenario_bin()
         .arg(&spec)
@@ -146,7 +170,8 @@ fn bench_json_reports_raw_queue_pops_beside_credited_events() {
 
 #[test]
 fn unwritable_json_path_exits_2_with_diagnostic() {
-    let (code, stderr) = run(scenario_bin().arg(spec_path("unwritable-json")).args([
+    let dir = TestDir::new("unwritable_json_path_exits_2_with_diagnostic");
+    let (code, stderr) = run(scenario_bin().arg(dir.spec_path("unwritable-json")).args([
         "--quiet",
         "--json",
         "/nonexistent/dir/r.json",
@@ -161,8 +186,9 @@ fn unwritable_json_path_exits_2_with_diagnostic() {
 
 #[test]
 fn resume_from_missing_checkpoint_exits_2_with_diagnostic() {
+    let dir = TestDir::new("resume_from_missing_checkpoint_exits_2_with_diagnostic");
     let out = scenario_bin()
-        .arg(spec_path("missing"))
+        .arg(dir.spec_path("missing"))
         .args(["--resume", "/nonexistent/meryn-no-such-checkpoint.json"])
         .output()
         .expect("spawn scenario bin");
@@ -177,7 +203,8 @@ fn resume_from_missing_checkpoint_exits_2_with_diagnostic() {
 
 #[test]
 fn resume_from_garbage_checkpoint_exits_2_with_diagnostic() {
-    let spec = spec_path("garbage");
+    let dir = TestDir::new("resume_from_garbage_checkpoint_exits_2_with_diagnostic");
+    let spec = dir.spec_path("garbage");
     let garbage = spec.with_file_name("garbage-checkpoint.json");
     std::fs::write(&garbage, "{\"this is\": \"not a checkpoint\"").expect("write garbage");
     let out = scenario_bin()
@@ -197,8 +224,9 @@ fn resume_from_garbage_checkpoint_exits_2_with_diagnostic() {
 
 #[test]
 fn checkpoint_to_unwritable_path_exits_2_with_diagnostic() {
+    let dir = TestDir::new("checkpoint_to_unwritable_path_exits_2_with_diagnostic");
     let out = scenario_bin()
-        .arg(spec_path("unwritable"))
+        .arg(dir.spec_path("unwritable"))
         .args([
             "--checkpoint",
             "/nonexistent-dir/cp.json",
@@ -217,7 +245,8 @@ fn checkpoint_to_unwritable_path_exits_2_with_diagnostic() {
 
 #[test]
 fn checkpoint_at_past_the_time_range_exits_2_with_diagnostic() {
-    let spec = spec_path("overflow");
+    let dir = TestDir::new("checkpoint_at_past_the_time_range_exits_2_with_diagnostic");
+    let spec = dir.spec_path("overflow");
     let cp = spec.with_file_name("overflow-checkpoint.json");
     // u64::MAX / 1000 + 1 seconds: the first count whose milliseconds
     // overflow the simulated clock.
@@ -265,7 +294,8 @@ fn resume(spec: &Path, cp: &Path) -> (Option<i32>, String) {
 
 #[test]
 fn checkpoint_is_published_without_a_leftover_temp_file() {
-    let spec = spec_path("publish");
+    let dir = TestDir::new("checkpoint_is_published_without_a_leftover_temp_file");
+    let spec = dir.spec_path("publish");
     let cp = write_checkpoint(&spec, "publish");
     assert!(cp.exists(), "checkpoint written");
     let tmp = PathBuf::from(format!("{}.tmp", cp.display()));
@@ -283,7 +313,8 @@ fn write_object(spec: &Path, name: &str, fields: Vec<(String, Value)>) -> PathBu
 
 #[test]
 fn resume_rejects_a_missing_or_mismatched_format_with_exit_2() {
-    let spec = spec_path("format");
+    let dir = TestDir::new("resume_rejects_a_missing_or_mismatched_format_with_exit_2");
+    let spec = dir.spec_path("format");
     let text = std::fs::read_to_string(write_checkpoint(&spec, "format")).expect("read");
     let Ok(Value::Map(fields)) = serde_json::from_str::<Value>(&text) else {
         panic!("a checkpoint is a JSON object");
@@ -371,6 +402,25 @@ fn resume_rejects_a_missing_or_mismatched_format_with_exit_2() {
     );
     assert!(!stderr.contains("panicked"), "no panic backtrace: {stderr}");
 
+    // Layout 6: aggregate mode kept Welford running statistics instead
+    // of exact integer totals, and full mode kept no totals at all. Its
+    // number is refused before the rest of the file is read.
+    let mut layout_6 = future.clone();
+    for (k, v) in &mut layout_6 {
+        match k.as_str() {
+            "format" => *v = Value::U64(6),
+            "totals" => *k = "aggregate".to_owned(),
+            _ => {}
+        }
+    }
+    let (code, stderr) = resume(&spec, &write_object(&spec, "layout-6.json", layout_6));
+    assert_eq!(code, Some(2), "format-6 checkpoint → exit 2: {stderr}");
+    assert!(
+        stderr.contains("checkpoint format 6"),
+        "diagnostic names the format: {stderr}"
+    );
+    assert!(!stderr.contains("panicked"), "no panic backtrace: {stderr}");
+
     // Layout 2: a bulk-enqueued run kept its pending arrivals in the
     // shard queues and wrote no arrival cursor.
     let mut layout_2 = future;
@@ -408,7 +458,8 @@ fn resume_rejects_a_missing_or_mismatched_format_with_exit_2() {
 
 #[test]
 fn resume_under_another_spec_exits_2_with_diagnostic() {
-    let cp = write_checkpoint(&spec_path("foreign-paper"), "foreign");
+    let dir = TestDir::new("resume_under_another_spec_exits_2_with_diagnostic");
+    let cp = write_checkpoint(&dir.spec_path("foreign-paper"), "foreign");
     // Another platform config: the escalation ablation.
     let escalation = Path::new(concat!(
         env!("CARGO_MANIFEST_DIR"),
@@ -429,7 +480,7 @@ fn resume_under_another_spec_exits_2_with_diagnostic() {
         unreachable!("paper.json has a Paper workload")
     };
     params.vc1_apps -= 1;
-    let (code, stderr) = resume(&save_spec("foreign-fewer", &fewer), &cp);
+    let (code, stderr) = resume(&dir.save_spec("foreign-fewer", &fewer), &cp);
     assert_eq!(code, Some(2), "foreign workload → exit 2: {stderr}");
     assert!(
         stderr.contains("its workload holds 65 submissions, the variant's 64"),

@@ -37,11 +37,11 @@
 //!
 //! A completed application leaves the run one way too: its shard emits
 //! [`Effect::Retire`], and at that canonical position the executor
-//! builds the application's [`AppRecord`] and drops the application,
-//! its framework job and its job → app entry. [`ReportMode`] decides
-//! only where the record goes — the run's record list or the per-VC
-//! aggregates — so engine state is O(live) in either mode, and the
-//! ledger keeps running totals only.
+//! folds the application into the run's exact totals and drops it, its
+//! framework job and its job → app entry. [`ReportMode`] decides only
+//! whether an [`AppRecord`] is built and kept as well, so engine state
+//! is O(live) in either mode, every report number is the same in both,
+//! and the ledger keeps running totals only.
 //!
 //! State changes only at event instants, and one run function advances
 //! the engine by one of them: it drains the maximal run of events
@@ -93,7 +93,7 @@ use crate::events::{Event, EventOwner};
 use crate::ids::{AppId, Placement, VcId};
 use crate::policy::{self, BiddingPolicy, PlacementPolicy};
 use crate::protocol::{select_resources, Decision, ProtocolParams};
-use crate::report::{AggregateReport, AppRecord, ReportMode, RunReport};
+use crate::report::{AggregateReport, AppRecord, Outcome, ReportMode, RunReport};
 
 /// Minimum number of same-instant shard events (across ≥ 2 shards)
 /// before a run is fanned out to worker threads. Below this the scoped
@@ -159,12 +159,11 @@ pub struct Platform {
     effect_gather: Vec<SequencedEffect>,
     /// Same-instant runs wide enough to fan out to worker threads.
     parallel_runs: u64,
-    /// Aggregate tallies; `Some` exactly under
-    /// [`ReportMode::Aggregate`], where retired records fold in here.
-    aggregate: Option<AggregateReport>,
-    /// Records of retired applications, retirement order; filled only
-    /// under [`ReportMode::Full`].
-    records: Vec<AppRecord>,
+    /// Exact totals of the retired applications, in either mode.
+    totals: AggregateReport,
+    /// Records of retired applications, retirement order; `Some`
+    /// exactly under [`ReportMode::Full`].
+    records: Option<Vec<AppRecord>>,
     /// Latest completion among retired applications (they are gone by
     /// `finalize`, so the report's completion time is tracked as they
     /// retire).
@@ -245,16 +244,19 @@ impl std::error::Error for StreamError {}
 /// checkpoint's required `format` field. Bump it whenever the captured
 /// state changes shape; a resume reads the number first
 /// ([`CheckpointHeader`]), so no older layout has to parse as this one.
-/// Layout 6 holds the engine's one event queue, and each shard its pop
-/// count. Layout 5 kept one event queue per shard; its pool and clouds
-/// hold live VMs only (one map of live leases per cloud) and it holds
-/// retired applications as records, as layout 6 does.
+/// Layout 7 holds the retired applications' exact integer totals in
+/// both report modes, and their records too in full mode. Layout 6 kept
+/// Welford running statistics in aggregate mode and records alone in
+/// full mode; like layout 7 it holds the engine's one event queue, and
+/// each shard its pop count. Layout 5 kept one event queue per shard;
+/// its pool and clouds hold live VMs only (one map of live leases per
+/// cloud) and it holds retired applications as layout 6 does.
 /// Layout 4 kept every terminated VM in the pool and clouds, with
 /// active counters and three lease maps per cloud; layout 3 kept a
 /// full-mode run's completed applications in its shards, layout 2 a
 /// bulk-enqueued run's pending arrivals in its shard queues and layout
 /// 1 a control queue.
-pub const CHECKPOINT_FORMAT: u32 = 6;
+pub const CHECKPOINT_FORMAT: u32 = 7;
 
 /// The one field every checkpoint layout carries. A resume parses it
 /// before the rest of the file and refuses another layout by its
@@ -286,8 +288,8 @@ impl CheckpointHeader {
 /// A full engine snapshot: every shard (live applications and framework
 /// masters included), the event queue, the shared fabric (live pool VMs
 /// and cloud leases, ledger totals, metrics, RNG stream positions), the
-/// retired applications' records or aggregates, the global sequence
-/// counter and the arrival stream's cursor. Serializable with serde;
+/// retired applications' totals (and records, in full mode), the global
+/// sequence counter and the arrival stream's cursor. Serializable with serde;
 /// resuming from it with the same workload reproduces the
 /// uninterrupted run byte-for-byte at any thread count.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -304,8 +306,8 @@ pub struct EngineCheckpoint {
     now: SimTime,
     app_vc: Vec<VcId>,
     next_app: u64,
-    aggregate: Option<AggregateReport>,
-    records: Vec<AppRecord>,
+    totals: AggregateReport,
+    records: Option<Vec<AppRecord>>,
     completion: SimTime,
     arrivals: ArrivalCursor,
     parallel_runs: u64,
@@ -322,6 +324,20 @@ impl EngineCheckpoint {
     /// The checkpoint instant.
     pub fn taken_at(&self) -> SimTime {
         self.now
+    }
+}
+
+/// What the totals fold of one application.
+fn outcome(app: &Application) -> Outcome<'static> {
+    Outcome {
+        vc: app.vc,
+        placement: app.placement.table1_case(),
+        exec: app.exec_duration(),
+        processing: app.processing_time(),
+        cost: app.cost,
+        revenue: app.revenue().unwrap_or(Money::ZERO),
+        penalty: app.penalty().unwrap_or(Money::ZERO),
+        violated: app.violated(),
     }
 }
 
@@ -506,6 +522,7 @@ impl Platform {
             })
             .collect();
         let vc_kinds = cfg.vcs.iter().map(|v| v.kind).collect();
+        let totals = AggregateReport::new(cfg.vcs.len());
         Platform {
             cfg,
             placement,
@@ -523,31 +540,30 @@ impl Platform {
             effect_bufs: Vec::new(),
             effect_gather: Vec::new(),
             parallel_runs: 0,
-            aggregate: None,
-            records: Vec::new(),
+            totals,
+            records: Some(Vec::new()),
             completion: SimTime::ZERO,
             arrivals: None,
         }
     }
 
-    /// Selects where the run's per-application records go; must be
-    /// chosen before the run starts and before a workload is attached,
-    /// which sizes a full-mode run's record list.
+    /// Selects whether the run keeps its per-application records; must
+    /// be chosen before the run starts and before a workload is
+    /// attached, which sizes a full-mode run's record list.
     ///
     /// Engine state is O(live) in either mode: every completed
-    /// application retires at its canonical effect position. Under
-    /// [`ReportMode::Full`] (the default) its record joins the run's
-    /// record list; under [`ReportMode::Aggregate`] it folds into per-VC
-    /// aggregates — byte-identical at any thread count — and is
-    /// dropped, so the whole run stays O(live). This is the hyperscale
-    /// configuration.
+    /// application retires at its canonical effect position and folds
+    /// into the run's exact totals, which every report number reads.
+    /// Under [`ReportMode::Full`] (the default) its record joins the
+    /// run's record list as well; under [`ReportMode::Aggregate`] no
+    /// record is built, so the whole run stays O(live). This is the
+    /// hyperscale configuration.
     pub fn with_report_mode(mut self, mode: ReportMode) -> Self {
         assert!(
             self.now == SimTime::ZERO && self.next_app == 0 && self.arrivals.is_none(),
             "report mode must be chosen before the run starts and before a workload is attached"
         );
-        self.aggregate =
-            (mode == ReportMode::Aggregate).then(|| AggregateReport::new(self.shards.len()));
+        self.records = (mode == ReportMode::Full).then(Vec::new);
         self
     }
 
@@ -674,8 +690,8 @@ impl Platform {
         );
         let first_seq = self.next_seq;
         self.next_seq += count;
-        if self.aggregate.is_none() {
-            self.records.reserve_exact(count as usize);
+        if let Some(records) = self.records.as_mut() {
+            records.reserve_exact(count as usize);
         }
         self.arrivals = Some(ArrivalSource {
             iter: Box::new(workload.into_iter().fuse()),
@@ -932,13 +948,12 @@ impl Platform {
         }
     }
 
-    /// Applies [`Effect::Retire`]: builds the completed application's
-    /// record once, files it (see [`Self::file_record`]) and drops its
-    /// per-app state — the application, the job → app mapping and the
-    /// framework's job entry. Only `app_vc` keeps its 8-byte entry: it
-    /// still routes stale per-app events (the ControllerCheck a
-    /// reporting controller armed for its deadline) to a shard that
-    /// then ignores them.
+    /// Applies [`Effect::Retire`]: files the completed application (see
+    /// [`Self::file_record`]) and drops its per-app state — the
+    /// application, the job → app mapping and the framework's job
+    /// entry. Only `app_vc` keeps its 8-byte entry: it still routes
+    /// stale per-app events (the ControllerCheck a reporting controller
+    /// armed for its deadline) to a shard that then ignores them.
     fn apply_retire(&mut self, app_id: AppId, job: JobId) {
         let vc = self.app_vc[app_id.0 as usize];
         let shard = &mut self.shards[vc.0];
@@ -946,25 +961,24 @@ impl Platform {
             .apps
             .remove(&app_id)
             .expect("retiring application exists");
-        let rec = app_record(&app, &shard.vc.name);
         shard.vc.job_to_app.remove(&job);
         shard
             .vc
             .framework
             .retire_job(job)
             .expect("retiring job just completed");
-        self.file_record(rec);
+        self.file_record(&app);
     }
 
-    /// Files one application's record where the report mode says:
-    /// folded into the aggregates, or kept in the record list.
-    fn file_record(&mut self, rec: AppRecord) {
-        if let Some(at) = rec.completed {
+    /// Files one application: folds it into the run's totals and, in
+    /// full mode only, builds and keeps its record.
+    fn file_record(&mut self, app: &Application) {
+        if let Some(at) = app.completed_at() {
             self.completion = self.completion.max_of(at);
         }
-        match self.aggregate.as_mut() {
-            Some(agg) => agg.push(&rec),
-            None => self.records.push(rec),
+        self.totals.push(&outcome(app));
+        if let Some(records) = self.records.as_mut() {
+            records.push(app_record(app, &self.shards[app.vc.0].vc.name));
         }
     }
 
@@ -1443,7 +1457,7 @@ impl Platform {
             now: self.now,
             app_vc: self.app_vc.clone(),
             next_app: self.next_app,
-            aggregate: self.aggregate.clone(),
+            totals: self.totals.clone(),
             records: self.records.clone(),
             completion: self.completion,
             arrivals: self.arrivals.as_ref().map(|a| a.cursor).unwrap_or_default(),
@@ -1475,7 +1489,7 @@ impl Platform {
             now,
             app_vc,
             next_app,
-            aggregate,
+            totals,
             mut records,
             completion,
             arrivals,
@@ -1493,7 +1507,7 @@ impl Platform {
             .into_iter()
             .map(|s| VcShard::from_snapshot(s, policy))
             .collect();
-        if aggregate.is_none() {
+        if let Some(records) = records.as_mut() {
             // Size the record list once for the rest of the run, as
             // `stream_workload` does for a fresh one.
             records.reserve_exact((arrivals.count as usize).saturating_sub(records.len()));
@@ -1521,7 +1535,7 @@ impl Platform {
             effect_bufs: Vec::new(),
             effect_gather: Vec::new(),
             parallel_runs,
-            aggregate,
+            totals,
             records,
             completion,
             arrivals: Some(ArrivalSource {
@@ -1538,25 +1552,21 @@ impl Platform {
     ///
     /// Completed applications were filed as they retired; the
     /// still-live ones (never completed: violated-and-stuck, or
-    /// mid-flight at an early finalize) are filed now, in submission
-    /// order. In full mode `apps` then lists every admitted
-    /// application's record in submission (= `AppId`) order; in
-    /// aggregate mode it stays empty.
+    /// mid-flight at an early finalize) are filed now. The totals are
+    /// integer sums, so the order they fold in does not matter. In full
+    /// mode `apps` then lists every admitted application's record in
+    /// submission (= `AppId`) order; in aggregate mode it stays empty.
     pub fn finalize(mut self) -> RunReport {
-        let mut live: Vec<AppRecord> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.apps.values().map(|app| app_record(app, &s.vc.name)))
-            .collect();
-        // Submission order: the order aggregate mode folds them in.
-        live.sort_unstable_by_key(|r| r.id);
-        for rec in live {
-            self.file_record(rec);
+        for vc in 0..self.shards.len() {
+            let live = std::mem::take(&mut self.shards[vc].apps);
+            for app in live.values() {
+                self.file_record(app);
+            }
         }
         // Records were filed in retirement order; the report lists
         // them in submission order. Ids are unique, so the in-place
         // unstable sort gives the stable order without a merge buffer.
-        let mut records = std::mem::take(&mut self.records);
+        let mut records = self.records.take().unwrap_or_default();
         records.sort_unstable_by_key(|r| r.id);
         let events_processed = self.events_processed();
         let (peak_private, peak_cloud) = self.fabric.peaks();
@@ -1597,7 +1607,7 @@ impl Platform {
             cloud_bill: self.fabric.cloud_bill,
             events_processed,
             faults,
-            aggregate: self.aggregate,
+            totals: self.totals,
         }
     }
 }

@@ -3,7 +3,7 @@
 use std::collections::BTreeMap;
 
 use meryn_sim::metrics::SeriesSet;
-use meryn_sim::stats::{improvement_pct, OnlineStats, Summary};
+use meryn_sim::stats::{exact_mean, improvement_pct, Summary};
 use meryn_sim::{SimDuration, SimTime};
 use meryn_sla::Money;
 use serde::{Deserialize, Serialize};
@@ -72,35 +72,79 @@ pub struct GroupStats {
     pub violations: usize,
 }
 
-/// Where a run puts its per-application records.
+/// Whether a run keeps its per-application records.
 ///
 /// In either mode a completed application retires from the engine at
-/// its canonical effect position, so engine memory is O(live). The mode
-/// decides only what becomes of its [`AppRecord`]:
-/// [`ReportMode::Full`] (the default) keeps it, so the record list —
-/// and nothing else — grows with the submission history, as per-app
-/// outputs like Table 1 and the placement listings need.
-/// [`ReportMode::Aggregate`] folds it into per-VC running statistics
-/// and drops it, keeping the whole run O(live) — the only mode that
-/// survives hyperscale submission counts.
+/// its canonical effect position and folds into the run's exact
+/// totals ([`AggregateReport`]), so engine memory is O(live) and every
+/// headline, mean and placement count is the same in both modes. The
+/// mode decides only whether the application's [`AppRecord`] is kept
+/// as well: [`ReportMode::Full`] (the default) keeps it, so the record
+/// list — and nothing else — grows with the submission history, as
+/// per-app outputs like Table 1 and the placement listings need.
+/// [`ReportMode::Aggregate`] builds no record, keeping the whole run
+/// O(live) — the only mode that survives hyperscale submission counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum ReportMode {
     /// Keep every per-application record (the default).
     #[default]
     Full,
-    /// Fold each record into aggregates; `apps` stays empty.
+    /// Keep the totals only; `apps` stays empty.
     Aggregate,
 }
 
-/// One VC's running aggregates, folded in canonical completion order.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// Milliseconds per second: the scale of a mean over [`SimDuration`]
+/// totals read in seconds.
+const MS_PER_SEC: u64 = 1000;
+
+/// What the totals read of one application: a borrowed view that an
+/// [`AppRecord`] and a live application both give, so a run that keeps
+/// no records folds without building one.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Outcome<'a> {
+    /// Hosting VC.
+    pub vc: VcId,
+    /// Placement case (Table 1 row label).
+    pub placement: &'a str,
+    /// Actual execution duration.
+    pub exec: SimDuration,
+    /// Table 1 processing time, once handed to the framework.
+    pub processing: Option<SimDuration>,
+    /// Provider cost.
+    pub cost: Money,
+    /// Revenue (price − penalty).
+    pub revenue: Money,
+    /// Delay penalty paid.
+    pub penalty: Money,
+    /// Whether the deadline was missed.
+    pub violated: bool,
+}
+
+impl AppRecord {
+    /// The part of the record the totals fold.
+    pub fn outcome(&self) -> Outcome<'_> {
+        Outcome {
+            vc: self.vc,
+            placement: &self.placement,
+            exec: self.exec,
+            processing: self.processing,
+            cost: self.cost,
+            revenue: self.revenue,
+            penalty: self.penalty,
+            violated: self.violated,
+        }
+    }
+}
+
+/// One VC's exact totals. Every field is an integer sum or count, so
+/// the fold is order-free: the same applications give the same totals
+/// whatever order they retired in, in either report mode.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct VcAggregate {
     /// Applications folded in.
     pub count: u64,
-    /// Execution-time statistics [s].
-    pub exec_secs: OnlineStats,
-    /// Provider-cost statistics [units].
-    pub cost_units: OnlineStats,
+    /// Σ execution time [ms].
+    pub exec_ms: u64,
     /// Total provider cost.
     pub total_cost: Money,
     /// Total revenue.
@@ -114,16 +158,15 @@ pub struct VcAggregate {
 }
 
 impl VcAggregate {
-    /// Folds one completed application in.
-    pub fn push(&mut self, rec: &AppRecord) {
+    /// Folds one application in.
+    pub fn push(&mut self, app: &Outcome<'_>) {
         self.count += 1;
-        self.exec_secs.push(rec.exec.as_secs_f64());
-        self.cost_units.push(rec.cost.as_units_f64());
-        self.total_cost += rec.cost;
-        self.total_revenue += rec.revenue;
-        self.total_penalty += rec.penalty;
-        self.violations += u64::from(rec.violated);
-        self.count_placement(&rec.placement, 1);
+        self.exec_ms += app.exec.as_millis();
+        self.total_cost += app.cost;
+        self.total_revenue += app.revenue;
+        self.total_penalty += app.penalty;
+        self.violations += u64::from(app.violated);
+        self.count_placement(app.placement, 1);
     }
 
     /// Adds `n` to a placement label's count, allocating the label only
@@ -137,12 +180,10 @@ impl VcAggregate {
         }
     }
 
-    /// Merges another aggregate in (used when combining per-shard
-    /// tallies; callers must merge in a canonical order).
+    /// Adds another VC's totals in (sums, so the order does not matter).
     pub fn merge(&mut self, other: &VcAggregate) {
         self.count += other.count;
-        self.exec_secs.merge(&other.exec_secs);
-        self.cost_units.merge(&other.cost_units);
+        self.exec_ms += other.exec_ms;
         self.total_cost += other.total_cost;
         self.total_revenue += other.total_revenue;
         self.total_penalty += other.total_penalty;
@@ -151,54 +192,72 @@ impl VcAggregate {
             self.count_placement(label, n);
         }
     }
+
+    /// The group statistics these totals give: each mean is the exact
+    /// quotient of its total (see [`meryn_sim::stats::exact_mean`]).
+    fn stats(&self) -> GroupStats {
+        GroupStats {
+            count: self.count as usize,
+            avg_exec_secs: exact_mean(i128::from(self.exec_ms), self.count, MS_PER_SEC),
+            avg_cost_units: self.total_cost.mean_units_f64(self.count),
+            total_cost: self.total_cost,
+            total_revenue: self.total_revenue,
+            violations: self.violations as usize,
+        }
+    }
 }
 
-/// The aggregate-mode substitute for `RunReport::apps`: every record
-/// folded into running statistics, none kept.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+/// A run's exact totals: per-VC sums plus the submission processing
+/// times, folded from every admitted application in both report modes.
+/// Every report number is read from here.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AggregateReport {
-    /// Per-VC aggregates, indexed by `VcId`.
+    /// Per-VC totals, indexed by `VcId`.
     pub per_vc: Vec<VcAggregate>,
-    /// Submission processing-time statistics [s] across all apps.
-    pub processing_secs: OnlineStats,
+    /// Applications with a processing time (handed to their framework).
+    pub processing_count: u64,
+    /// Σ processing time [ms].
+    pub processing_ms: u64,
+    /// Longest processing time [ms] (0 when none).
+    pub processing_max_ms: u64,
 }
 
 impl AggregateReport {
-    /// Creates aggregates for `vcs` virtual clusters.
+    /// Creates empty totals for `vcs` virtual clusters.
     pub fn new(vcs: usize) -> Self {
         AggregateReport {
-            per_vc: (0..vcs).map(|_| VcAggregate::default()).collect(),
-            processing_secs: OnlineStats::new(),
+            per_vc: vec![VcAggregate::default(); vcs],
+            ..Default::default()
         }
     }
 
-    /// Folds one completed application in.
-    pub fn push(&mut self, rec: &AppRecord) {
-        self.per_vc[rec.vc.0].push(rec);
-        if let Some(p) = rec.processing {
-            self.processing_secs.push(p.as_secs_f64());
+    /// Folds one application in.
+    pub fn push(&mut self, app: &Outcome<'_>) {
+        self.per_vc[app.vc.0].push(app);
+        if let Some(p) = app.processing {
+            self.processing_count += 1;
+            self.processing_ms += p.as_millis();
+            self.processing_max_ms = self.processing_max_ms.max(p.as_millis());
         }
+    }
+
+    /// Every VC's totals added together.
+    fn all(&self) -> VcAggregate {
+        let mut all = VcAggregate::default();
+        for a in &self.per_vc {
+            all.merge(a);
+        }
+        all
     }
 
     /// Group stats over all VCs (`None`) or one VC.
     pub fn group(&self, vc: Option<VcId>) -> GroupStats {
-        let mut folded = VcAggregate::default();
-        let agg = match vc {
-            Some(v) => self.per_vc.get(v.0).unwrap_or(&folded),
-            None => {
-                for a in &self.per_vc {
-                    folded.merge(a);
-                }
-                &folded
-            }
-        };
-        GroupStats {
-            count: agg.count as usize,
-            avg_exec_secs: agg.exec_secs.mean(),
-            avg_cost_units: agg.cost_units.mean(),
-            total_cost: agg.total_cost,
-            total_revenue: agg.total_revenue,
-            violations: agg.violations as usize,
+        match vc {
+            Some(v) => self
+                .per_vc
+                .get(v.0)
+                .map_or_else(|| VcAggregate::default().stats(), VcAggregate::stats),
+            None => self.all().stats(),
         }
     }
 }
@@ -241,7 +300,8 @@ pub struct RunReport {
     pub seed: u64,
     /// Per-application records, submission (= [`AppId`]) order; empty
     /// under [`ReportMode::Aggregate`]. The only part of a full-mode run
-    /// that grows with the submission history.
+    /// that grows with the submission history; no report number reads
+    /// them except [`Self::processing_summary`].
     pub apps: Vec<AppRecord>,
     /// Rejected submissions (negotiation/routing failures).
     pub rejected: usize,
@@ -273,41 +333,15 @@ pub struct RunReport {
     /// pre-fault-plane golden — serialize byte-identically.
     #[serde(default, skip_serializing_if = "Option::is_none")]
     pub faults: Option<FaultStats>,
-    /// Aggregate-only tallies; `Some` exactly when the run used
-    /// [`ReportMode::Aggregate`] (and `apps` is then empty).
-    #[serde(default)]
-    pub aggregate: Option<AggregateReport>,
+    /// The run's exact totals, folded from every admitted application
+    /// in both report modes; every accessor below reads them.
+    pub totals: AggregateReport,
 }
 
 impl RunReport {
-    /// Aggregates over all apps (`None`) or one VC's apps, folded in a
-    /// single pass with no intermediate allocation.
+    /// Aggregates over all apps (`None`) or one VC's apps.
     pub fn group(&self, vc: Option<VcId>) -> GroupStats {
-        if let Some(agg) = &self.aggregate {
-            return agg.group(vc);
-        }
-        let mut count = 0usize;
-        let mut exec = Summary::new();
-        let mut cost = Summary::new();
-        let mut total_cost = Money::ZERO;
-        let mut total_revenue = Money::ZERO;
-        let mut violations = 0usize;
-        for a in self.apps.iter().filter(|a| vc.is_none_or(|v| a.vc == v)) {
-            count += 1;
-            exec.push(a.exec.as_secs_f64());
-            cost.push(a.cost.as_units_f64());
-            total_cost += a.cost;
-            total_revenue += a.revenue;
-            violations += usize::from(a.violated);
-        }
-        GroupStats {
-            count,
-            avg_exec_secs: exec.mean(),
-            avg_cost_units: cost.mean(),
-            total_cost,
-            total_revenue,
-            violations,
-        }
+        self.totals.group(vc)
     }
 
     /// The run's headline numbers (see [`Headline`]).
@@ -322,37 +356,24 @@ impl RunReport {
         }
     }
 
-    /// Admitted applications (record count in full mode, fold count in
-    /// aggregate mode).
+    /// Admitted applications.
     pub fn apps_count(&self) -> usize {
-        match &self.aggregate {
-            Some(agg) => agg.per_vc.iter().map(|a| a.count as usize).sum(),
-            None => self.apps.len(),
-        }
+        self.totals.per_vc.iter().map(|a| a.count as usize).sum()
     }
 
     /// Total provider cost across all applications.
     pub fn total_cost(&self) -> Money {
-        match &self.aggregate {
-            Some(agg) => agg.per_vc.iter().map(|a| a.total_cost).sum(),
-            None => self.apps.iter().map(|a| a.cost).sum(),
-        }
+        self.totals.per_vc.iter().map(|a| a.total_cost).sum()
     }
 
     /// Total revenue across all applications.
     pub fn total_revenue(&self) -> Money {
-        match &self.aggregate {
-            Some(agg) => agg.per_vc.iter().map(|a| a.total_revenue).sum(),
-            None => self.apps.iter().map(|a| a.revenue).sum(),
-        }
+        self.totals.per_vc.iter().map(|a| a.total_revenue).sum()
     }
 
     /// Total delay penalties paid across all applications.
     pub fn total_penalty(&self) -> Money {
-        match &self.aggregate {
-            Some(agg) => agg.per_vc.iter().map(|a| a.total_penalty).sum(),
-            None => self.apps.iter().map(|a| a.penalty).sum(),
-        }
+        self.totals.per_vc.iter().map(|a| a.total_penalty).sum()
     }
 
     /// Provider profit: revenue − cost.
@@ -362,10 +383,11 @@ impl RunReport {
 
     /// Number of deadline violations.
     pub fn violations(&self) -> usize {
-        match &self.aggregate {
-            Some(agg) => agg.per_vc.iter().map(|a| a.violations as usize).sum(),
-            None => self.apps.iter().filter(|a| a.violated).count(),
-        }
+        self.totals
+            .per_vc
+            .iter()
+            .map(|a| a.violations as usize)
+            .sum()
     }
 
     /// Workload completion time (the Fig. 6(a) "Workload" bar).
@@ -374,7 +396,7 @@ impl RunReport {
     }
 
     /// Processing-time summary for one Table 1 case label. Requires
-    /// full mode (aggregate runs keep no per-case samples).
+    /// full mode (only the records keep per-case samples).
     pub fn processing_summary(&self, case: &str) -> Summary {
         let mut s = Summary::new();
         for a in &self.apps {
@@ -387,43 +409,24 @@ impl RunReport {
         s
     }
 
-    /// Mean and worst submission processing time [s], in either mode.
+    /// Mean and worst submission processing time [s] (zero when no
+    /// application reached its framework).
     pub fn processing_mean_max_secs(&self) -> (f64, f64) {
-        match &self.aggregate {
-            Some(agg) => {
-                let s = &agg.processing_secs;
-                (s.mean(), if s.count() == 0 { 0.0 } else { s.max() })
-            }
-            None => {
-                let mut s = Summary::new();
-                for a in &self.apps {
-                    if let Some(p) = a.processing {
-                        s.push(p.as_secs_f64());
-                    }
-                }
-                (s.mean(), if s.is_empty() { 0.0 } else { s.max() })
-            }
-        }
+        let t = &self.totals;
+        (
+            exact_mean(i128::from(t.processing_ms), t.processing_count, MS_PER_SEC),
+            SimDuration::from_millis(t.processing_max_ms).as_secs_f64(),
+        )
     }
 
     /// Placement histogram: (case label, count), label order.
     pub fn placement_counts(&self) -> Vec<(String, usize)> {
-        let mut counts: BTreeMap<&str, usize> = Default::default();
-        match &self.aggregate {
-            Some(agg) => {
-                for vc_agg in &agg.per_vc {
-                    for (case, n) in &vc_agg.placements {
-                        *counts.entry(case.as_str()).or_default() += *n as usize;
-                    }
-                }
-            }
-            None => {
-                for a in &self.apps {
-                    *counts.entry(a.placement.as_str()).or_default() += 1;
-                }
-            }
-        }
-        counts.into_iter().map(|(k, v)| (k.to_owned(), v)).collect()
+        self.totals
+            .all()
+            .placements
+            .into_iter()
+            .map(|(case, n)| (case, n as usize))
+            .collect()
     }
 }
 
@@ -497,7 +500,12 @@ mod tests {
         }
     }
 
+    /// A report keeping `apps`, with its totals folded from them.
     fn report(apps: Vec<AppRecord>) -> RunReport {
+        let mut totals = AggregateReport::new(2);
+        for a in &apps {
+            totals.push(&a.outcome());
+        }
         RunReport {
             mode: "meryn".into(),
             seed: 0,
@@ -514,7 +522,7 @@ mod tests {
             cloud_bill: Money::ZERO,
             events_processed: 100,
             faults: None,
-            aggregate: None,
+            totals,
         }
     }
 
@@ -530,8 +538,8 @@ mod tests {
         assert_eq!(all.violations, 1);
         let vc0 = r.group(Some(VcId(0)));
         assert_eq!(vc0.count, 2);
-        assert!((vc0.avg_exec_secs - 1610.0).abs() < 1e-9);
-        assert!((vc0.avg_cost_units - 4890.0).abs() < 1e-9);
+        assert_eq!(vc0.avg_exec_secs, 1610.0);
+        assert_eq!(vc0.avg_cost_units, 4890.0);
         let vc1 = r.group(Some(VcId(1)));
         assert_eq!(vc1.count, 1);
         assert_eq!(vc1.total_cost, Money::from_units(3100));
@@ -545,13 +553,14 @@ mod tests {
             record(1, 1550, 3100, false),
         ];
         let full = report(records.clone());
-        let mut agg = AggregateReport::new(2);
-        for r in &records {
-            agg.push(r);
-        }
+        // An aggregate run keeps no records, and its applications may
+        // retire in another order: the integer totals do not notice.
         let mut lean = report(Vec::new());
-        lean.aggregate = Some(agg);
+        for r in records.iter().rev() {
+            lean.totals.push(&r.outcome());
+        }
 
+        assert_eq!(lean.totals, full.totals);
         assert_eq!(lean.apps_count(), full.apps.len());
         assert_eq!(lean.total_cost(), full.total_cost());
         assert_eq!(lean.total_revenue(), full.total_revenue());
@@ -559,17 +568,11 @@ mod tests {
         assert_eq!(lean.violations(), full.violations());
         assert_eq!(lean.placement_counts(), full.placement_counts());
         for vc in [None, Some(VcId(0)), Some(VcId(1))] {
-            let a = lean.group(vc);
-            let b = full.group(vc);
-            assert_eq!(a.count, b.count);
-            assert_eq!(a.total_cost, b.total_cost);
-            assert_eq!(a.total_revenue, b.total_revenue);
-            assert_eq!(a.violations, b.violations);
-            assert!((a.avg_exec_secs - b.avg_exec_secs).abs() < 1e-9);
-            assert!((a.avg_cost_units - b.avg_cost_units).abs() < 1e-9);
+            assert_eq!(lean.group(vc), full.group(vc));
         }
         let (a, b) = (lean.headline(), full.headline());
         assert_eq!((a.total_cost, a.violations), (b.total_cost, b.violations));
+        assert_eq!(a.avg_cost_units.to_bits(), b.avg_cost_units.to_bits());
         let (mean, max) = lean.processing_mean_max_secs();
         assert_eq!((mean, max), full.processing_mean_max_secs());
         assert_eq!(mean, 10.0);
@@ -611,10 +614,10 @@ mod tests {
         let mut cloud = record(0, 1, 1, false);
         cloud.placement = "cloud-vm".into();
         let (mut a, mut b) = (VcAggregate::default(), VcAggregate::default());
-        a.push(&record(0, 1, 1, false));
-        a.push(&cloud);
-        b.push(&cloud);
-        b.push(&cloud);
+        a.push(&record(0, 1, 1, false).outcome());
+        a.push(&cloud.outcome());
+        b.push(&cloud.outcome());
+        b.push(&cloud.outcome());
         a.merge(&b);
         let counts: Vec<(&str, u64)> = a.placements.iter().map(|(k, &n)| (k.as_str(), n)).collect();
         assert_eq!(counts, [("cloud-vm", 3), ("local-vm", 1)]);

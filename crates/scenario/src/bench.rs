@@ -146,13 +146,14 @@ impl BenchReport {
 
 /// Times every variant's base-seed run of `scenario` once.
 ///
-/// Replicas are ignored and no report sections are assembled, but the
-/// platform is built exactly as [`crate::runner::run_scenario`] builds
-/// it — including series recording gated on `outputs.series` — so the
-/// measured run is the production one. Wall clock wraps deployment
-/// (with the workload's arrival stream: a non-`Generated` workload is
-/// materialized there; a `Generated` one is generated as the run
-/// pulls it) + event loop + finalize.
+/// Replicas are ignored and no report sections are assembled. The
+/// platform is built as [`crate::runner::run_scenario`] builds it —
+/// including series recording gated on `outputs.series` — but in the
+/// spec's report mode ([`crate::spec::OutputSpec::report_mode`]), so a
+/// full-mode spec's run still builds its record list. Wall clock wraps
+/// deployment (with the workload's arrival stream: a non-`Generated`
+/// workload is materialized there; a `Generated` one is generated as
+/// the run pulls it) + event loop + finalize.
 ///
 /// # Errors
 /// As [`crate::runner::run_scenario`]: a spec [`Scenario::check`]
@@ -166,7 +167,8 @@ pub fn bench_scenario(scenario: &Scenario) -> io::Result<BenchReport> {
     let mut total_wall = 0.0f64;
     for variant in expand_variants(scenario)? {
         let start = Instant::now();
-        let mut platform = build_run(scenario, &variant, base_seed, None)?;
+        let mode = scenario.outputs.report_mode();
+        let mut platform = build_run(scenario, &variant, base_seed, mode, None)?;
         platform.run_to_completion();
         let events_by_queue: Vec<QueueEvents> = platform
             .shard_event_counts()

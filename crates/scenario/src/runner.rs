@@ -40,6 +40,12 @@ pub(crate) struct Variant {
 /// [`Scenario::check`] rejects.
 pub(crate) fn expand_variants(scenario: &Scenario) -> io::Result<Vec<Variant>> {
     let invalid = |msg: String| io::Error::new(io::ErrorKind::InvalidInput, msg);
+    if scenario.outputs.table1_samples == Some(0) {
+        return Err(invalid(
+            "outputs.table1_samples must be at least 1: a Table 1 row is a mean over its samples"
+                .to_owned(),
+        ));
+    }
     let mut variants = vec![Variant {
         label: String::new(),
         cfg: scenario.platform.clone(),
@@ -113,12 +119,13 @@ fn arrivals(
     })
 }
 
-/// Builds the run of `variant` at `seed` with the variant's workload
-/// attached as its arrival stream: deployed with the scenario's series
-/// recording and report mode — or, given a checkpoint of that run,
-/// restored from it (the checkpoint carries both). Every scenario run
-/// goes through here: [`run_scenario`]'s jobs, the single run and its
-/// resume, and [`crate::bench::bench_scenario`].
+/// Builds the run of `variant` at `seed` in report mode `mode`, with
+/// the variant's workload attached as its arrival stream and the
+/// scenario's series recording — or, given a checkpoint of that run,
+/// restores it (the checkpoint carries seed, series recording and
+/// mode). Every scenario run goes through here: [`run_scenario`]'s
+/// jobs, the single run and its resume, and
+/// [`crate::bench::bench_scenario`].
 ///
 /// # Errors
 /// As [`arrivals`].
@@ -126,6 +133,7 @@ pub(crate) fn build_run(
     scenario: &Scenario,
     variant: &Variant,
     seed: u64,
+    mode: ReportMode,
     resume: Option<EngineCheckpoint>,
 ) -> io::Result<Platform> {
     if let Some(cp) = resume {
@@ -136,10 +144,9 @@ pub(crate) fn build_run(
     // Curve recording is costly bookkeeping on long runs; only sample
     // the used-VM series when the requested outputs emit them. Peaks
     // (the Fig 5 headline numbers) are tracked either way.
-    let mut platform = Platform::new(cfg).with_series_recording(scenario.outputs.series);
-    if scenario.outputs.aggregate {
-        platform = platform.with_report_mode(ReportMode::Aggregate);
-    }
+    let mut platform = Platform::new(cfg)
+        .with_series_recording(scenario.outputs.series)
+        .with_report_mode(mode);
     // Deploy first, then build the stream: allocating the workload
     // before the shards' queues made glibc trim the heap between
     // back-to-back set-ups (hyperscale-ci on a 2-vCPU Xeon: 4.2 ms
@@ -154,7 +161,8 @@ impl Scenario {
     /// runs, without running anything.
     ///
     /// # Errors
-    /// `InvalidInput` with the first problem found: an axis
+    /// `InvalidInput` with the first problem found: zero
+    /// `outputs.table1_samples`, an axis
     /// [`crate::spec::SweepAxis::check`] rejects, a variant whose
     /// platform config fails [`PlatformConfig::check`], or an
     /// `InterarrivalSecs` axis over an `Explicit` or `TraceFile`
@@ -265,10 +273,9 @@ pub struct GroupSummary {
 
 impl RunSummary {
     fn from_report(report: &RunReport, vc_names: &[String]) -> Self {
-        // Every quantity goes through the mode-branching accessors so
-        // the same summary comes out of a full run and an aggregate
-        // (hyperscale) run; in full mode they compute exactly what the
-        // per-record folds here used to.
+        // Every quantity is read from the run's exact totals, which
+        // both report modes fold, so a run that kept its records and
+        // one that did not give the same summary, bit for bit.
         let all = report.group(None);
         let (processing_mean_s, processing_max_s) = report.processing_mean_max_secs();
         RunSummary {
@@ -311,8 +318,8 @@ impl RunSummary {
 
 /// What one [`run_scenario`] job keeps of its run: the headline every
 /// job yields and, for a base-seed run, the report sections the spec
-/// asks for. The job drops the run's records once these are taken, so
-/// at most one record list per worker is alive.
+/// asks for. Every one of them reads the run's totals, so jobs run in
+/// [`ReportMode::Aggregate`] and keep no per-application records.
 struct JobResult {
     headline: Headline,
     summary: Option<RunSummary>,
@@ -448,7 +455,8 @@ pub fn run_scenario(scenario: &Scenario) -> io::Result<ScenarioReport> {
     // One job per (variant, seed): the base-seed headline run first
     // (when needed), then the derived replica streams. Flat fanout,
     // order preserved; each job builds its own arrival stream and
-    // reduces its report before it returns.
+    // reduces its report to totals-derived numbers before it returns,
+    // so no job keeps records, whatever `outputs.aggregate` says.
     let mut jobs: Vec<(&Variant, u64, bool)> = Vec::new();
     for variant in &variants {
         if with_base {
@@ -459,7 +467,7 @@ pub fn run_scenario(scenario: &Scenario) -> io::Result<ScenarioReport> {
         }
     }
     let results = fanout(jobs, |(variant, seed, base)| {
-        let mut platform = build_run(scenario, variant, seed, None)?;
+        let mut platform = build_run(scenario, variant, seed, ReportMode::Aggregate, None)?;
         platform.run_to_completion();
         Ok(JobResult::new(platform.finalize(), variant, outputs, base))
     })
@@ -535,7 +543,9 @@ pub fn run_scenario(scenario: &Scenario) -> io::Result<ScenarioReport> {
 
 /// Prepares the *single run* the checkpoint workflow operates on: the
 /// base-seed run of the scenario's first expanded variant, configured
-/// exactly as [`run_scenario`] configures it. Drive it with
+/// as [`run_scenario`] configures it except that it keeps the spec's
+/// report mode ([`OutputSpec::report_mode`]), so a full-mode spec's
+/// single run lists its records. Drive it with
 /// [`Platform::run_until`] + [`Platform::checkpoint`], or straight to
 /// completion for the uninterrupted comparator.
 ///
@@ -543,7 +553,8 @@ pub fn run_scenario(scenario: &Scenario) -> io::Result<ScenarioReport> {
 /// As [`run_scenario`], before the platform is built.
 pub fn single_run_start(scenario: &Scenario) -> io::Result<Platform> {
     let variant = first_variant(scenario)?;
-    build_run(scenario, &variant, scenario.sweep.base_seed, None)
+    let mode = scenario.outputs.report_mode();
+    build_run(scenario, &variant, scenario.sweep.base_seed, mode, None)
 }
 
 /// Resumes the [`single_run_start`] run from a checkpoint, re-deriving
@@ -558,7 +569,8 @@ pub fn single_run_resume(scenario: &Scenario, cp: EngineCheckpoint) -> Platform 
     let resume = || {
         scenario.check_checkpoint(&cp)?;
         let variant = first_variant(scenario)?;
-        build_run(scenario, &variant, scenario.sweep.base_seed, Some(cp))
+        let mode = scenario.outputs.report_mode();
+        build_run(scenario, &variant, scenario.sweep.base_seed, mode, Some(cp))
     };
     resume().unwrap_or_else(|e| panic!("cannot resume {}: {e}", scenario.name))
 }

@@ -23,6 +23,7 @@ use std::io;
 use std::path::Path;
 
 use meryn_core::config::{PlatformConfig, ViolationPolicy};
+use meryn_core::report::ReportMode;
 use meryn_sim::SimDuration;
 use meryn_sla::VmRate;
 use meryn_workloads::generators::GeneratorConfig;
@@ -458,20 +459,30 @@ pub struct OutputSpec {
     #[serde(default)]
     pub comparison: bool,
     /// Run the five Table 1 placement micro-scenarios over this many
-    /// seed-derived samples each.
+    /// seed-derived samples each (at least 1; zero is rejected).
     #[serde(default)]
     pub table1_samples: Option<u64>,
-    /// Run in `ReportMode::Aggregate`: each application's record folds
-    /// into per-VC running totals as it completes instead of joining
-    /// the run's record list. Engine memory is O(live) in either mode;
-    /// dropping the records keeps the whole run O(live), as hyperscale
-    /// submission counts need. Placements and summaries still work
-    /// (from the aggregates); per-app listings do not.
+    /// Run the scenario's single run (`--single`, `--checkpoint`,
+    /// `--resume`) and its `--bench` runs in `ReportMode::Aggregate`:
+    /// keep no per-application records, so the whole run stays
+    /// O(live), as hyperscale submission counts need. Every report
+    /// number is folded from exact totals in both modes, so this
+    /// changes no number; [`crate::runner::run_scenario`]'s jobs keep
+    /// no records whatever it says.
     #[serde(default)]
     pub aggregate: bool,
 }
 
 impl OutputSpec {
+    /// The report mode [`Self::aggregate`] selects.
+    pub fn report_mode(&self) -> ReportMode {
+        if self.aggregate {
+            ReportMode::Aggregate
+        } else {
+            ReportMode::Full
+        }
+    }
+
     /// Whether any requested output needs the per-variant base-seed
     /// run; when nothing does (e.g. a Table-1-only scenario), the
     /// runner skips those simulations entirely.

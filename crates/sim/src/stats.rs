@@ -4,7 +4,8 @@
 //! sample sets (65 applications, 100 latency probes). Two flavours are
 //! provided: [`OnlineStats`] (Welford, single pass, no storage) for running
 //! aggregates, and [`Summary`] (stores the samples) when percentiles are
-//! needed.
+//! needed. A mean over integer quantities (milliseconds, micro-units) is
+//! [`exact_mean`] of their exact sum instead.
 
 use serde::{Deserialize, Serialize};
 
@@ -188,12 +189,12 @@ impl Summary {
         (xs.len(), mean, m2)
     }
 
-    /// Smallest observation (zero when empty).
+    /// Smallest observation (+∞ when empty).
     pub fn min(&self) -> f64 {
         self.samples.iter().copied().fold(f64::INFINITY, f64::min)
     }
 
-    /// Largest observation (zero when empty).
+    /// Largest observation (−∞ when empty).
     pub fn max(&self) -> f64 {
         self.samples
             .iter()
@@ -232,6 +233,19 @@ impl Summary {
     pub fn samples(&self) -> &[f64] {
         &self.samples
     }
+}
+
+/// The mean of `n` integer samples from their exact sum: one quotient,
+/// `sum / (n · scale)`, where `scale` sample units make one reported
+/// unit (e.g. 1000 for milliseconds read as seconds); zero when `n` is
+/// zero. Both operands convert exactly while `|sum|` and `n · scale`
+/// stay below 2⁵³, so the result is then the correctly rounded mean —
+/// the same whatever order the samples were summed in.
+pub fn exact_mean(sum: i128, n: u64, scale: u64) -> f64 {
+    if n == 0 {
+        return 0.0;
+    }
+    sum as f64 / (u128::from(n) * u128::from(scale)) as f64
 }
 
 /// Relative improvement of `new` over `old` in percent, as the paper
@@ -380,6 +394,17 @@ mod tests {
     #[should_panic(expected = "finite")]
     fn summary_rejects_nan() {
         Summary::new().push(f64::NAN);
+    }
+
+    #[test]
+    fn exact_mean_is_the_rounded_quotient() {
+        assert_eq!(exact_mean(0, 0, 1000), 0.0);
+        assert_eq!(exact_mean(9_780, 2, 1), 4890.0);
+        assert_eq!(exact_mean(-3, 2, 1), -1.5);
+        // 1/3 of a second from milliseconds: the quotient, not a sum of
+        // per-sample divisions.
+        assert_eq!(exact_mean(1_000, 3, 1000), 1.0 / 3.0);
+        assert_eq!(exact_mean(i128::from(u64::MAX), 1, 1), u64::MAX as f64);
     }
 
     #[test]

@@ -12,6 +12,7 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
+use meryn_sim::stats::exact_mean;
 use meryn_sim::SimDuration;
 use serde::{Deserialize, Serialize};
 
@@ -53,6 +54,14 @@ impl Money {
     /// Amount in units as a float, for reporting only.
     pub fn as_units_f64(self) -> f64 {
         self.0 as f64 / MICROS_PER_UNIT as f64
+    }
+
+    /// The mean per item of `n` items totalling this amount, in units,
+    /// for reporting only: the one quotient of
+    /// [`meryn_sim::stats::exact_mean`] over the exact micro-unit total
+    /// (zero when `n` is zero).
+    pub fn mean_units_f64(self, n: u64) -> f64 {
+        exact_mean(i128::from(self.0), n, MICROS_PER_UNIT as u64)
     }
 
     /// True when exactly zero.
@@ -250,6 +259,15 @@ impl fmt::Display for VmRate {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn mean_units_is_the_exact_quotient() {
+        // One division of the exact micro-unit total.
+        let total = Money::from_units(3100) + Money::from_units(6680);
+        assert_eq!(total.mean_units_f64(2), 4890.0);
+        assert_eq!(Money::from_micro(1).mean_units_f64(4), 0.25e-6);
+        assert_eq!(total.mean_units_f64(0), 0.0);
+    }
 
     #[test]
     fn unit_round_trip() {

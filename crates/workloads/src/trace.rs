@@ -77,9 +77,17 @@ mod tests {
 
     #[test]
     fn file_round_trip() {
-        let dir = std::env::temp_dir().join("meryn-trace-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("w.json");
+        // A directory of this test's own, removed whatever the outcome.
+        struct TempDir(std::path::PathBuf);
+        impl Drop for TempDir {
+            fn drop(&mut self) {
+                let _ = std::fs::remove_dir_all(&self.0);
+            }
+        }
+        let dir =
+            TempDir(std::env::temp_dir().join(format!("meryn-trace-test-{}", std::process::id())));
+        std::fs::create_dir_all(&dir.0).unwrap();
+        let path = dir.0.join("w.json");
         let t = Trace::new(
             "gen",
             Some(42),
@@ -94,7 +102,6 @@ mod tests {
         t.save(&path).unwrap();
         let back = Trace::load(&path).unwrap();
         assert_eq!(back, t);
-        std::fs::remove_file(path).ok();
     }
 
     #[test]

@@ -12,7 +12,7 @@
 
 use meryn_core::config::{PlatformConfig, VcConfig};
 use meryn_core::report::ReportMode;
-use meryn_core::{EngineCheckpoint, Platform};
+use meryn_core::{EngineCheckpoint, Platform, VcId};
 use meryn_scenario::spec::{WorkloadModifier, WorkloadSpec};
 use meryn_scenario::{single_run_resume, single_run_start, Scenario};
 use meryn_sim::SimTime;
@@ -180,7 +180,9 @@ fn streaming_checkpoint_resume_is_thread_count_independent() {
 fn aggregate_mode_matches_full_mode_headlines() {
     // The hyperscale configuration (aggregate + streamed) must answer
     // the same headline questions as a full-records run of the same
-    // scenario: identical counts, Money totals and peaks.
+    // scenario: identical counts, Money totals and peaks, and — since
+    // both modes fold the same exact integer totals — bit-identical
+    // means.
     let s = trimmed_hyperscale_ci(500);
     let mut agg = single_run_start(&s).unwrap();
     agg.run_to_completion();
@@ -192,7 +194,8 @@ fn aggregate_mode_matches_full_mode_headlines() {
     let full = full.finalize();
 
     assert!(agg.apps.is_empty(), "aggregate mode keeps no app records");
-    assert!(agg.aggregate.is_some());
+    assert_eq!(full.apps.len(), full.apps_count(), "full mode keeps them");
+    assert_eq!(agg.totals, full.totals, "both modes fold the same totals");
     assert_eq!(agg.apps_count(), full.apps_count());
     assert!(agg.apps_count() + agg.rejected == 500, "lost submissions");
     assert_eq!(agg.violations(), full.violations());
@@ -204,4 +207,65 @@ fn aggregate_mode_matches_full_mode_headlines() {
     assert_eq!(agg.peak_cloud.to_bits(), full.peak_cloud.to_bits());
     assert_eq!(agg.events_processed, full.events_processed);
     assert_eq!(agg.placement_counts(), full.placement_counts());
+
+    let vcs = s.platform.vcs.len();
+    for vc in std::iter::once(None).chain((0..vcs).map(|v| Some(VcId(v)))) {
+        let (a, b) = (agg.group(vc), full.group(vc));
+        assert_eq!((a.count, a.violations), (b.count, b.violations), "{vc:?}");
+        assert_eq!(
+            (a.total_cost, a.total_revenue),
+            (b.total_cost, b.total_revenue),
+            "{vc:?}"
+        );
+        assert_eq!(
+            a.avg_exec_secs.to_bits(),
+            b.avg_exec_secs.to_bits(),
+            "{vc:?}"
+        );
+        assert_eq!(
+            a.avg_cost_units.to_bits(),
+            b.avg_cost_units.to_bits(),
+            "{vc:?}"
+        );
+    }
+    let ((mean_a, max_a), (mean_b, max_b)) = (
+        agg.processing_mean_max_secs(),
+        full.processing_mean_max_secs(),
+    );
+    assert_eq!(mean_a.to_bits(), mean_b.to_bits());
+    assert_eq!(max_a.to_bits(), max_b.to_bits());
+    let (a, b) = (agg.headline(), full.headline());
+    assert_eq!(a.completion_secs.to_bits(), b.completion_secs.to_bits());
+    assert_eq!(a.avg_cost_units.to_bits(), b.avg_cost_units.to_bits());
+    assert_eq!(a.total_cost, b.total_cost);
+    assert_eq!(a.peak_cloud.to_bits(), b.peak_cloud.to_bits());
+    assert_eq!(a.violations, b.violations);
+}
+
+#[test]
+fn run_scenario_reports_are_byte_identical_in_both_report_modes() {
+    // `outputs.aggregate` decides only whether a single run keeps its
+    // records; a scenario report's jobs keep none either way and every
+    // number comes from the same exact totals.
+    let mut s = Scenario::load(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../scenarios/representative-datacenter.json"
+    ))
+    .expect("the shipped representative-datacenter spec loads");
+    match &mut s.workload {
+        WorkloadSpec::Generated { config, .. } => config.count = 1_500,
+        _ => unreachable!("representative-datacenter is a Generated scenario"),
+    }
+    let report = |aggregate: bool| {
+        let mut spec = s.clone();
+        spec.outputs.aggregate = aggregate;
+        let report =
+            meryn_scenario::run_scenario(&spec).expect("generated workloads need no files");
+        (report.to_json(), report.render())
+    };
+    let (full_json, full_text) = report(false);
+    let (agg_json, agg_text) = report(true);
+    assert!(full_json.contains("\"avg_cost_units\""));
+    assert_eq!(full_json, agg_json);
+    assert_eq!(full_text, agg_text);
 }

@@ -6,7 +6,8 @@
 use meryn_core::config::PlatformConfig;
 use meryn_core::report::{compare, RunReport};
 use meryn_core::{Platform, VcId};
-use meryn_scenario::{run_scenario, Scenario};
+use meryn_scenario::spec::SweepAxis;
+use meryn_scenario::{run_scenario, single_run_start, Scenario};
 use meryn_workloads::{paper_workload, PaperWorkloadParams};
 
 fn run(mode: &str) -> RunReport {
@@ -242,6 +243,75 @@ fn fig5_series_peak_at_the_summary_peaks_and_stay_non_negative() {
         assert_eq!(cloud.max(), summary.peak_cloud_vms, "{}", v.label);
         for s in series.iter() {
             assert!(s.min() >= 0.0, "{} {}: negative sample", v.label, s.name());
+        }
+    }
+}
+
+/// The shipped `paper` spec's single run under `policy`: full mode, so
+/// `finalize().apps` lists every application's record.
+fn shipped_paper_run(policy: &str) -> RunReport {
+    let mut spec = Scenario::load(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../scenarios/paper.json"
+    ))
+    .expect("the shipped paper spec loads");
+    spec.sweep.axes = vec![SweepAxis::Policy {
+        values: vec![policy.to_owned()],
+    }];
+    let mut run = single_run_start(&spec).expect("paper needs no files");
+    run.run_to_completion();
+    run.finalize()
+}
+
+#[test]
+fn report_means_are_exact_quotients_of_the_record_sums() {
+    // The oracle: integer sums taken from the records themselves, and
+    // one division each. Every mean the report prints must equal it to
+    // the bit — a float fold over per-app seconds or units drifts in
+    // the last digits.
+    let quotient = |sum: i128, n: usize, scale: u64| sum as f64 / (n as u64 * scale) as f64;
+    for policy in ["meryn", "static"] {
+        let report = shipped_paper_run(policy);
+        assert_eq!(report.apps.len(), 65, "{policy}: full mode keeps records");
+        for vc in [None, Some(VcId(0)), Some(VcId(1))] {
+            let apps: Vec<_> = report
+                .apps
+                .iter()
+                .filter(|a| vc.is_none_or(|v| a.vc == v))
+                .collect();
+            let exec_ms: i128 = apps.iter().map(|a| i128::from(a.exec.as_millis())).sum();
+            let cost_micro: i128 = apps.iter().map(|a| i128::from(a.cost.as_micro())).sum();
+            let g = report.group(vc);
+            assert_eq!(g.count, apps.len(), "{policy} {vc:?}");
+            assert_eq!(
+                g.avg_exec_secs.to_bits(),
+                quotient(exec_ms, apps.len(), 1_000).to_bits(),
+                "{policy} {vc:?}: exec mean"
+            );
+            assert_eq!(
+                g.avg_cost_units.to_bits(),
+                quotient(cost_micro, apps.len(), 1_000_000).to_bits(),
+                "{policy} {vc:?}: cost mean"
+            );
+        }
+        let processing: Vec<u64> = report
+            .apps
+            .iter()
+            .filter_map(|a| a.processing.map(|p| p.as_millis()))
+            .collect();
+        let sum: i128 = processing.iter().map(|&ms| i128::from(ms)).sum();
+        let (mean, max) = report.processing_mean_max_secs();
+        assert_eq!(
+            mean.to_bits(),
+            quotient(sum, processing.len(), 1_000).to_bits(),
+            "{policy}: processing mean"
+        );
+        assert_eq!(max, *processing.iter().max().unwrap() as f64 / 1000.0);
+        if policy == "static" {
+            // Static's VC1 apps cost 4890 u on average, exactly; a
+            // Welford fold over the per-app units reads
+            // 4890.000000000001.
+            assert_eq!(report.group(Some(VcId(0))).avg_cost_units, 4890.0);
         }
     }
 }
